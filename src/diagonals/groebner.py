@@ -166,13 +166,15 @@ def _combine(a: int, f: list, fstart: int, h: list) -> list:
 
 
 def _g_nf(fg: list, basis: list, member_only: bool = False,
-          deadline: float | None = None):
+          deadline: float | None = None, t0: float | None = None):
     """Full normal form of a gpoly against a list of gpolys.
 
     Returns a dict mono -> QQ giving the exact normal form of the input
     (interpreted with integer coefficients as given).  With member_only,
     returns None at the first irreducible term instead (the input is then
-    certainly not in the ideal) and {} when it reduces to zero.
+    certainly not in the ideal) and {} when it reduces to zero.  Passing
+    deadline with the computation's start time t0 aborts with
+    BudgetExceeded once the deadline is past.
     """
     work = fg
     pos = 0
@@ -182,7 +184,8 @@ def _g_nf(fg: list, basis: list, member_only: bool = False,
     while pos < len(work):
         steps += 1
         if deadline is not None and not steps % 256 and time.monotonic() > deadline:
-            raise BudgetExceeded("time limit in reduction", 0.0, len(basis))
+            raise BudgetExceeded("time limit in reduction",
+                                  time.monotonic() - t0, len(basis))
         k, m, c = work[pos]
         red = None
         for g in basis:
@@ -293,7 +296,7 @@ def _buchberger_core(ggens: list, keyf, budget: Budget) -> list:
         _update_pairs(leads, alive, lcm_of, heap, len(basis) - 1, keyf)
 
     for g in sorted((g for g in ggens if g), key=lambda p: (p[0][0], p)):
-        nf = _g_nf(g, basis, deadline=deadline)
+        nf = _g_nf(g, basis, deadline=deadline, t0=t0)
         gg = _nf_dict_to_g(nf, keyf)
         if gg:
             insert(gg)
@@ -314,7 +317,7 @@ def _buchberger_core(ggens: list, keyf, budget: Budget) -> list:
         s = _g_spoly(basis[i], basis[j], keyf)
         if not s:
             continue
-        nf = _g_nf(s, basis, deadline=deadline)
+        nf = _g_nf(s, basis, deadline=deadline, t0=t0)
         gg = _nf_dict_to_g(nf, keyf)
         if gg:
             insert(gg)
@@ -332,7 +335,7 @@ def _buchberger_core(ggens: list, keyf, budget: Budget) -> list:
     reduced: list = []
     for pos, g in enumerate(minimal):
         others = reduced + minimal[pos + 1:]
-        nf = _g_nf(g, others, deadline=deadline)
+        nf = _g_nf(g, others, deadline=deadline, t0=t0)
         reduced.append(_nf_dict_to_g(nf, keyf))
     return reduced
 
@@ -468,11 +471,6 @@ class Ideal:
             if any(_divides(l, m) for l in leads):
                 out.append(m)
         return out
-
-    def standard_monomials_of_degree(self, d: int) -> list:
-        leads = [l for l in self.leading_monomials() if sum(l) <= d]
-        return [m for m in monomials_of_degree(self.nvars, d)
-                if not any(_divides(l, m) for l in leads)]
 
     # -- misc ----------------------------------------------------------------
 

@@ -7,6 +7,14 @@ auxiliary elimination variables, when present, sit after the y-block.
 
 Coefficients are exact rationals (gmpy2.mpq when installed, else
 fractions.Fraction).  Nothing in this package touches floating point.
+
+Linear substitutions, which carry the group action, avoid rational
+arithmetic in their inner loop: a non-monomial matrix is scaled to integers
+by the lcm of its denominators, split into blocks of variables whose images
+are disjoint (the x- and y-blocks of the doubled action), and the integer
+image of every block monomial is memoised.  Substituting into f multiplies
+memoised block images with Python ints and builds one rational per output
+term.
 """
 
 from __future__ import annotations
@@ -214,9 +222,6 @@ class Polynomial:
         return cls(nvars, terms)
 
     # -- basic queries -----------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -449,11 +454,20 @@ def exact_divide_linear(f: Polynomial, ell: Polynomial) -> Polynomial:
 
 
 class LinearSubstitution:
-    """Substitution var_i -> sum_j M[i][j] var_j with cached image powers.
+    """Substitution var_i -> sum_j M[i][j] var_j.
 
     The coordinate vector transforms by M: applying the substitution to f
-    yields the function v -> f(M v).  Power caches persist across calls, so
-    reuse one instance when acting repeatedly with the same matrix.
+    yields the function v -> f(M v).  A matrix with one nonzero per row maps
+    monomials to monomials and takes a direct path.  Any other matrix is
+    scaled to integers by the lcm D of its entry denominators and split into
+    blocks, runs of consecutive variables whose images share no variable.
+    Each block memoises the image of a block monomial m as an integer map
+    {block exponents: c} over D^deg(m), built by
+    image(m) = image(m / x_i) * image(x_i).  A term of f is then the disjoint
+    product of its block images, so all arithmetic runs on ints and each
+    output coefficient becomes one rational at the end.  The memos persist
+    across calls, so reuse one instance when acting repeatedly with the same
+    matrix.
     """
 
     def __init__(self, matrix: Sequence[Sequence]):
@@ -475,12 +489,33 @@ class LinearSubstitution:
                 break
         self.is_monomial = monomial
         if not monomial:
-            self._images = [
-                Polynomial(n, {tuple(1 if k == j else 0 for k in range(n)): c
-                               for j, c in enumerate(row) if c})
-                for row in rows
-            ]
-            self._pow: list[dict] = [dict() for _ in range(n)]
+            self._init_blocks()
+
+    def _init_blocks(self):
+        rows, n = self.rows, self.nvars
+        den = 1
+        for row in rows:
+            for c in row:
+                den = math.lcm(den, int(c.denominator))
+        self._den = den
+        # blocks are the maximal runs of variables that no nonzero entry
+        # M[i][j] links across, so images of different runs share no variable
+        reach = list(range(n))
+        for i, row in enumerate(rows):
+            for j, c in enumerate(row):
+                if c:
+                    lo, hi = min(i, j), max(i, j)
+                    reach[lo] = max(reach[lo], hi)
+        self._blocks = []
+        start = end = 0
+        for k in range(n):
+            end = max(end, reach[k])
+            if end == k:
+                images = [[(j - start, int(rows[i][j] * den))
+                           for j in range(start, k + 1) if rows[i][j]]
+                          for i in range(start, k + 1)]
+                self._blocks.append(_Block(slice(start, k + 1), images))
+                start = k + 1
 
     def __call__(self, f: Polynomial) -> Polynomial:
         if f.nvars != self.nvars:
@@ -505,24 +540,69 @@ class LinearSubstitution:
                 else:
                     del terms[key]
             return Polynomial(n, terms)
-        acc = Polynomial.zero(n)
+        if not f.terms:
+            return Polynomial.zero(n)
+        # clear denominators once: f = (1/L) sum c_m m with integer c_m
+        lcd, top = 1, 0
         for m, c in f.terms.items():
-            prod = Polynomial.constant(n, c)
-            for i, e in enumerate(m):
-                if e:
-                    prod = prod * self._power(i, e)
-            acc = acc + prod
-        return acc
+            lcd = math.lcm(lcd, int(c.denominator))
+            top = max(top, sum(m))
+        den = self._den
+        *heads, last = self._blocks
+        acc: dict = {}
+        for m, c in f.terms.items():
+            scale = (int(c.numerator) * (lcd // int(c.denominator))
+                     * den ** (top - sum(m)))
+            partial = [((), scale)]
+            for block in heads:
+                img = block.image(m[block.span])
+                partial = [(e + be, pc * bc) for e, pc in partial
+                           for be, bc in img.items()]
+            img = last.image(m[last.span])
+            for e, pc in partial:
+                for be, bc in img.items():
+                    key = e + be
+                    acc[key] = acc.get(key, 0) + pc * bc
+        total = lcd * den ** top
+        out = Polynomial.__new__(Polynomial)
+        out.nvars = n
+        out.terms = {e: QQ(v, total) for e, v in acc.items() if v}
+        out._hash = None
+        return out
 
-    def _power(self, i: int, e: int) -> Polynomial:
-        cache = self._pow[i]
-        got = cache.get(e)
-        if got is None:
-            if e == 1:
-                got = self._images[i]
-            else:
-                got = self._power(i, e - 1) * self._images[i]
-            cache[e] = got
+
+class _Block:
+    """A run of variables whose images involve only each other.
+
+    images[i] lists the (block index, integer coefficient) pairs of the
+    scaled image of the block's i-th variable.  image(m) maps block
+    exponent tuples to ints over D^deg(m); results are memoised, and
+    exponent tuples are interned so that images share them.
+    """
+
+    __slots__ = ("span", "images", "memo", "exps")
+
+    def __init__(self, span: slice, images: list):
+        zero = (0,) * len(images)
+        self.span = span
+        self.images = images
+        self.memo = {zero: {zero: 1}}
+        self.exps = {zero: zero}
+
+    def image(self, m: tuple) -> dict:
+        got = self.memo.get(m)
+        if got is not None:
+            return got
+        i = next(k for k, e in enumerate(m) if e)
+        prev = self.image(m[:i] + (m[i] - 1,) + m[i + 1:])
+        got = {}
+        for pe, pc in prev.items():
+            for j, uc in self.images[i]:
+                e = pe[:j] + (pe[j] + 1,) + pe[j + 1:]
+                got[e] = got.get(e, 0) + pc * uc
+        exps = self.exps
+        got = {exps.setdefault(e, e): c for e, c in got.items() if c}
+        self.memo[m] = got
         return got
 
 

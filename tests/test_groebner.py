@@ -276,6 +276,14 @@ class TestBudget:
         with pytest.raises(BudgetExceeded):
             Ideal(gens, budget=Budget(max_seconds=600, max_basis=3)).groebner_basis()
 
+    def test_reduction_abort_reports_elapsed(self):
+        # 325 terms: reducing the first generator checks the clock at step 256
+        wide = Polynomial(3, {m: 1 for m in monomials_of_degree(3, 24)})
+        with pytest.raises(BudgetExceeded) as info:
+            buchberger([wide], budget=Budget(max_seconds=0, max_basis=4000))
+        assert info.value.reason == "time limit in reduction"
+        assert info.value.elapsed > 0
+
     def test_env_override(self, monkeypatch):
         monkeypatch.setenv("DIAGONALS_MAX_SECONDS", "12.5")
         monkeypatch.setenv("DIAGONALS_MAX_BASIS", "77")

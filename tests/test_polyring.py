@@ -1,5 +1,8 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from diagonals.polyring import (
     GREVLEX,
@@ -151,6 +154,25 @@ class TestSubstitution:
         f = u**2
         assert LinearSubstitution(m)(f) == (u + v) ** 2
 
+    @given(st.data())
+    def test_dense_matches_naive_reference(self, data):
+        shape = data.draw(st.sampled_from(["full", "block", "sparse"]))
+        rows = data.draw(substitution_matrices(shape))
+        f = data.draw(polynomials(len(rows), max_deg=3, max_terms=6))
+        sub = LinearSubstitution(rows)
+        expected = naive_substitute(rows, f)
+        assert sub(f) == expected
+        assert sub(f) == expected  # again, from the warm memo
+
+    def test_dense_zero_polynomial_and_zero_rows(self):
+        rows = [[QQ(1, 2), QQ(1, 3), 0, 0], [0, 0, 0, 0],
+                [0, 0, 0, 0], [QQ(1, 7), 0, 0, 1]]
+        sub = LinearSubstitution(rows)
+        assert not sub.is_monomial
+        assert sub(Polynomial.zero(4)) == Polynomial.zero(4)
+        assert sub(x2 * y1 + y2) == naive_substitute(rows, x2 * y1 + y2)
+        assert sub(x2 * y1) == Polynomial.zero(4)
+
     @given(polynomials(2, max_deg=3), random_points(2))
     def test_substitution_evaluates_consistently(self, f, pt):
         m = ((QQ(1), QQ(2)), (QQ(3), QQ(4)))
@@ -250,3 +272,62 @@ class TestText:
             from_string("x9", 4)
         with pytest.raises(ValueError):
             from_string("", 4)
+
+
+DENOMINATORS = (1, 2, 3, 7)
+
+
+def substitution_matrices(shape: str, max_size: int = 5):
+    """Square rational matrices with denominators from 1, 2, 3 and 7.
+
+    "full" draws every entry, "block" zeroes the entries that couple a
+    leading block of variables with the rest, "sparse" zeroes about half of
+    the entries, which also gives zero rows and interleaved blocks.
+    """
+    entry = st.builds(QQ, st.integers(-4, 4), st.sampled_from(DENOMINATORS))
+
+    def build(n, values, split, mask):
+        rows = [list(values[i * n:(i + 1) * n]) for i in range(n)]
+        for i in range(n):
+            for j in range(n):
+                if shape == "block" and (i < split) != (j < split):
+                    rows[i][j] = QQ(0)
+                if shape == "sparse" and mask[i * n + j]:
+                    rows[i][j] = QQ(0)
+        return rows
+
+    return st.integers(1, max_size).flatmap(lambda n: st.builds(
+        build, st.just(n),
+        st.lists(entry, min_size=n * n, max_size=n * n),
+        st.integers(0, n),
+        st.lists(st.booleans(), min_size=n * n, max_size=n * n)))
+
+
+def naive_substitute(rows, f: Polynomial) -> Polynomial:
+    """Term-by-term substitution with Fraction dicts: the product of the
+    powers of the row images, summed over the terms of f."""
+    n = len(rows)
+
+    def mul(a: dict, b: dict) -> dict:
+        out: dict = {}
+        for m1, c1 in a.items():
+            for m2, c2 in b.items():
+                m = tuple(e1 + e2 for e1, e2 in zip(m1, m2))
+                out[m] = out.get(m, Fraction(0)) + c1 * c2
+        return out
+
+    def frac(c) -> Fraction:
+        return Fraction(int(c.numerator), int(c.denominator))
+
+    images = [{tuple(int(k == j) for k in range(n)): frac(c)
+               for j, c in enumerate(row) if c} for row in rows]
+    total: dict = {}
+    for m, c in f.terms.items():
+        prod = {(0,) * n: frac(c)}
+        for i, e in enumerate(m):
+            for _ in range(e):
+                prod = mul(prod, images[i])
+        for mono, v in prod.items():
+            total[mono] = total.get(mono, Fraction(0)) + v
+    return Polynomial(n, {m: QQ(v.numerator, v.denominator)
+                          for m, v in total.items() if v})

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from diagonals.linalg import identity, mat, mat_mul
-from diagonals.polyring import Polynomial, QQ, variables
+from diagonals.polyring import Polynomial, QQ, from_string, to_string, variables
 from diagonals.weyl import RootSystem, WeylGroup, root_system
 
 from support import seeded_random_poly
@@ -157,6 +157,39 @@ def test_average_matches_naive_sum():
         scale = QQ(1, W.order)
         assert W.symmetrize(f) == naive_sym * scale
         assert W.antisymmetrize(f) == naive_alt * scale
+
+
+# (f, e(f), e_-(f)) for G2, whose coset representatives act by dense
+# matrices with entries in 1/3 Z.  The averages were recorded from the
+# term-by-term rational substitution that the integer block kernel replaced.
+G2_AVERAGES = [
+    ("x1^2*y2 - 1/2*x3*y1",
+     '1/27*x1^2*y1 - 1/27*x1*x2*y1 + 4/27*x2^2*y1 - 1/27*x1*x3*y1 '
+     '+ 2/27*x2*x3*y1 + 4/27*x3^2*y1 + 4/27*x1^2*y2 - '
+     '1/27*x1*x2*y2 + 1/27*x2^2*y2 + 2/27*x1*x3*y2 - 1/27*x2*x3*y2 '
+     '+ 4/27*x3^2*y2 + 4/27*x1^2*y3 + 2/27*x1*x2*y3 + 4/27*x2^2*y3 '
+     '- 1/27*x1*x3*y3 - 1/27*x2*x3*y3 + 1/27*x3^2*y3 - 1/12*x2*y1 '
+     '- 1/12*x3*y1 - 1/12*x1*y2 - 1/12*x3*y2 - 1/12*x1*y3 - '
+     '1/12*x2*y3',
+     '-1/9*x1*x2*y1 - 1/9*x2^2*y1 + 1/9*x1*x3*y1 + 1/9*x3^2*y1 + '
+     '1/9*x1^2*y2 + 1/9*x1*x2*y2 - 1/9*x2*x3*y2 - 1/9*x3^2*y2 - '
+     '1/9*x1^2*y3 + 1/9*x2^2*y3 - 1/9*x1*x3*y3 + 1/9*x2*x3*y3 + '
+     '1/12*x2*y1 - 1/12*x3*y1 - 1/12*x1*y2 + 1/12*x3*y2 + '
+     '1/12*x1*y3 - 1/12*x2*y3'),
+    ("x1*x2^2 + 3/7*y1*y3",
+     '1/27*x1^3 + 1/9*x1^2*x2 + 1/9*x1*x2^2 + 1/27*x2^3 + '
+     '1/9*x1^2*x3 + 2/9*x1*x2*x3 + 1/9*x2^2*x3 + 1/9*x1*x3^2 + '
+     '1/9*x2*x3^2 + 1/27*x3^3 + 1/7*y1*y2 + 1/7*y1*y3 + 1/7*y2*y3',
+     '0'),
+]
+
+
+@pytest.mark.parametrize("text, sym, alt", G2_AVERAGES)
+def test_g2_averages_match_recorded_values(text, sym, alt):
+    W = WeylGroup(root_system("G2"))
+    f = from_string(text, 6)
+    assert to_string(W.symmetrize(f)) == sym
+    assert to_string(W.antisymmetrize(f)) == alt
 
 
 def test_g2_coset_structure():
