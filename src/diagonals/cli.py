@@ -323,19 +323,34 @@ def _parse_c_list(text: str) -> list:
         raise argparse.ArgumentTypeError(f"bad rational list: {text}") from bad
 
 
+def _int_from(low: int):
+    """argparse type: an integer no smaller than low."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names it in "invalid int value"
+    return parse
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="diagonals", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--degree-bound", type=int, default=DEFAULT_BOUND,
+        p.add_argument("--degree-bound", type=_int_from(0),
+                       default=DEFAULT_BOUND,
                        help="graded degree cutoff (default %(default)s)")
         p.add_argument("--seed", type=int, default=DEFAULT_SEED)
         p.add_argument("--c", type=_parse_c_list, default=None,
                        metavar="LIST", help=f"parameter values, default {DEFAULT_C}")
-        p.add_argument("--samples", type=int, default=9,
+        p.add_argument("--samples", type=_int_from(1), default=9,
                        help="seeded samples per type/parameter cell")
-        p.add_argument("--n", type=int, default=3,
+        p.add_argument("--n", type=_int_from(1), default=3,
                        help="rank for partition tables")
         p.add_argument("--format", choices=("text", "json"), default="text")
         p.add_argument("--out", help="write the report to this file")
@@ -352,7 +367,7 @@ def build_parser() -> _Parser:
     common(table)
 
     report = sub.add_parser("report", help="run every verification target")
-    report.add_argument("--jobs", type=int, default=1,
+    report.add_argument("--jobs", type=_int_from(1), default=1,
                         help="worker processes (default 1)")
     common(report)
     return parser
@@ -425,6 +440,11 @@ def main(argv=None) -> int:
             _emit(_table_text(args.n), args)
         return 0
 
+    try:
+        Budget.from_env()
+    except ValueError as bad:
+        print(f"diagonals: error: {bad}", file=sys.stderr)
+        return 64
     opts = _opts_from_args(args)
     if args.command == "verify":
         result = run_target(args.target, opts)

@@ -27,7 +27,6 @@ from .groebner import (
     Ideal,
     graded_basis,
     intersect_many,
-    nf_monomial_table,
 )
 from .linalg import RowEchelon
 from .polyring import (
@@ -38,7 +37,6 @@ from .polyring import (
     QQ,
     ZERO,
     monomials_of_bidegree,
-    monomials_of_degree,
 )
 from .weyl import RootSystem, WeylGroup
 
@@ -122,103 +120,79 @@ def primitive_part(f: Polynomial, order: MonomialOrder = GREVLEX) -> Polynomial:
 
 
 def orbit_projection(W: WeylGroup, mono: tuple, signed: bool):
-    """(canonical orbit representative, its coefficient in the average).
+    """(H-orbit representative of mono, its coefficient in the H-average).
 
-    Only valid for groups of monomial matrices, where the orbit of a
-    monomial consists of scaled monomials and an (anti)invariant is pinned
-    down by its coefficients on one representative per orbit.
+    H is the subgroup of monomial matrices of W: all of W for every type
+    but G2, the six permutation matrices for G2.  H maps a monomial to
+    a scaled monomial, so the (signed) H-average of mono lives on the
+    H-orbit of mono, whose largest monomial is the representative.  An
+    H-(anti)invariant is determined by its coefficients on the
+    representatives.  Results are memoised in W.projection_memo[signed].
     """
     memo = W.projection_memo[signed]
     got = memo.get(mono)
     if got is not None:
         return got
-    single = Polynomial(len(mono), {mono: ONE})
     acc: dict = {}
-    support = set()
-    for w in W.elements:
-        img = W.act(w, single)
-        ((m2, c2),) = img.terms.items()
-        support.add(m2)
-        if signed and W.signs[w] < 0:
-            c2 = -c2
-        acc[m2] = acc.get(m2, ZERO) + c2
-    rep = max(support)
-    coeff = acc.get(rep, ZERO) / W.order
-    out = (rep, coeff)
-    memo[mono] = out
-    return out
-
-
-def _monomial_subgroup_rep(W: WeylGroup, mono: tuple):
-    """Orbit representative and signed-average coefficient under the
-    subgroup of monomial matrices.  Useful for dense groups, where the
-    full orbit projection is unavailable but the monomial part still
-    collapses proportional candidates."""
-    memo = W.projection_memo.setdefault("H", {})
-    got = memo.get(mono)
-    if got is not None:
-        return got
-    single = Polynomial(len(mono), {mono: ONE})
-    acc: dict = {}
-    support = set()
-    for h in W._monomial:
-        img = W.act(h, single)
-        ((m2, c2),) = img.terms.items()
-        support.add(m2)
-        if W.signs[h] < 0:
-            c2 = -c2
-        acc[m2] = acc.get(m2, ZERO) + c2
-    rep = max(support)
-    out = (rep, acc.get(rep, ZERO))
-    memo[mono] = out
+    for sub, sign in W._monomial_action:
+        image, scale = sub.monomial_image(mono)
+        if signed and sign < 0:
+            scale = -scale
+        acc[image] = acc.get(image, 0) + scale
+    rep = max(acc)
+    out = (rep, QQ(acc[rep], len(W._monomial)))
+    # the monomials of an orbit mostly share one pair; storing each distinct
+    # pair once measurably lowers peak memory on G2
+    out = memo[mono] = W._projection_pairs.setdefault(out, out)
     return out
 
 
 def _compressed_row(W: WeylGroup, f: Polynomial, signed: bool) -> dict:
-    """Coefficients of the (anti)symmetrized f on canonical representatives."""
+    """Coefficients of the (signed) W-average of f on H-orbit representatives,
+    up to a constant factor.
+
+    W is the disjoint union of the cosets H*r^-1 over the coset
+    representatives r, so the W-average of f is a constant times the
+    H-average of g = sum_r (+-) r^-1 f, and the row holds that H-average's
+    coefficients on the representatives (see orbit_projection).  They
+    determine the average, so rows of several f have the rank of their
+    averages, while being |H| times narrower.
+    """
     row: dict = {}
-    for m, c in f.terms.items():
-        rep, coeff = orbit_projection(W, m, signed)
-        if not coeff:
-            continue
-        s = row.get(rep, ZERO) + c * coeff
-        if s:
-            row[rep] = s
-        else:
-            del row[rep]
+    for rinv in W._coset_inverses:
+        flip = signed and W.signs[rinv] < 0
+        for m, c in W.act(rinv, f).terms.items():
+            rep, coeff = orbit_projection(W, m, signed)
+            if not coeff:
+                continue
+            s = row.get(rep, ZERO) + (-c if flip else c) * coeff
+            if s:
+                row[rep] = s
+            else:
+                del row[rep]
     return row
 
 
 def alternant_basis(W: WeylGroup, a: int, b: int) -> list:
     """Basis of the alternating polynomials of bidegree (a, b).
 
-    Monomial groups: one candidate per monomial orbit with nonvanishing
-    signed average.  Dense groups: antisymmetrize candidates and keep the
-    echelon-independent ones.
+    The candidates are the monomials that are their own H-orbit
+    representative with a nonzero signed H-average coefficient (H as in
+    orbit_projection); other monomials of an orbit have proportional
+    averages.  A candidate is kept when its compressed row is independent
+    of the rows kept before it, and contributes its antisymmetrization,
+    made primitive.  When H = W every candidate is kept.
     """
-    n = W.ambient
-    out = []
-    if W.is_monomial_group:
-        seen = set()
-        for m in sorted(monomials_of_bidegree(n, a, b)):
-            rep, coeff = orbit_projection(W, m, True)
-            if rep in seen or not coeff:
-                continue
-            seen.add(rep)
-            out.append(primitive_part(W.antisymmetrize(
-                Polynomial(2 * n, {rep: ONE}))))
-        return out
+    nvars = 2 * W.ambient
     ech = RowEchelon()
-    for m in sorted(monomials_of_bidegree(n, a, b)):
-        # candidates in one monomial-subgroup orbit average to proportional
-        # results, so only the canonical one with a surviving coefficient
-        # needs the dense pass
-        rep, coeff = _monomial_subgroup_rep(W, m)
+    out = []
+    for m in sorted(monomials_of_bidegree(W.ambient, a, b)):
+        rep, coeff = orbit_projection(W, m, True)
         if rep != m or not coeff:
             continue
-        g = W.antisymmetrize(Polynomial(2 * n, {m: ONE}))
-        if g and ech.add(dict(g.terms)):
-            out.append(primitive_part(g))
+        single = Polynomial(nvars, {m: ONE})
+        if ech.add(_compressed_row(W, single, True)):
+            out.append(primitive_part(W.antisymmetrize(single)))
     return out
 
 
@@ -244,18 +218,6 @@ def ideal_J(W: WeylGroup, max_degree: int, order: MonomialOrder = GREVLEX,
                  generated_up_to=max_degree, budget=budget)
 
 
-def alternant_dimension(W: WeylGroup, a: int, b: int) -> int:
-    """dim of the alternating subspace in bidegree (a, b)."""
-    if W.is_monomial_group:
-        reps = set()
-        for m in monomials_of_bidegree(W.ambient, a, b):
-            rep, coeff = orbit_projection(W, m, True)
-            if coeff:
-                reps.add(rep)
-        return len(reps)
-    return len(alternant_basis(W, a, b))
-
-
 # ---------------------------------------------------------------------------
 # dimensions of averaged images
 # ---------------------------------------------------------------------------
@@ -266,31 +228,19 @@ def invariant_image_dim(W: WeylGroup, I: Ideal, d: int, signed: bool = False,
     """dim of the space of (anti)symmetrized elements of the degree-d piece."""
     if I.nvars != 2 * W.ambient:
         raise ValueError("ideal does not live on the doubled space")
-    basis = graded_basis(I, d, table)
     ech = RowEchelon()
-    rank = 0
-    for b in basis:
-        if W.is_monomial_group:
-            row = _compressed_row(W, b, signed)
-        else:
-            g = W.antisymmetrize(b) if signed else W.symmetrize(b)
-            row = dict(g.terms)
-        if row and ech.add(row):
-            rank += 1
-    return rank
+    for b in graded_basis(I, d, table):
+        ech.add(_compressed_row(W, b, signed))
+    return ech.rank
 
 
 def averaged_multiple_dim(W: WeylGroup, multiplier: Polynomial, I: Ideal,
                           k: int, table: dict | None = None) -> int:
     """dim of e(multiplier * I_k), the symmetrized multiplier-shifted piece."""
-    basis = graded_basis(I, k, table)
     ech = RowEchelon()
-    rank = 0
-    for b in basis:
-        g = W.symmetrize(multiplier * b)
-        if g and ech.add(dict(g.terms)):
-            rank += 1
-    return rank
+    for b in graded_basis(I, k, table):
+        ech.add(_compressed_row(W, multiplier * b, False))
+    return ech.rank
 
 
 def full_ring_ideal(nvars: int, order: MonomialOrder = GREVLEX) -> Ideal:

@@ -53,13 +53,28 @@ class Budget:
 
     @classmethod
     def from_env(cls) -> "Budget":
+        """Read DIAGONALS_MAX_SECONDS and DIAGONALS_MAX_BASIS; ValueError
+        names a variable whose value is not a positive number."""
         return cls(
-            max_seconds=float(os.environ.get("DIAGONALS_MAX_SECONDS", 1800.0)),
-            max_basis=int(os.environ.get("DIAGONALS_MAX_BASIS", 4000)),
+            max_seconds=_positive_env("DIAGONALS_MAX_SECONDS", float,
+                                      cls.max_seconds),
+            max_basis=_positive_env("DIAGONALS_MAX_BASIS", int, cls.max_basis),
         )
 
     def deadline(self) -> float:
         return time.monotonic() + self.max_seconds
+
+
+def _positive_env(name: str, kind, default):
+    text = os.environ.get(name)
+    try:
+        value = default if text is None else kind(text)
+    except ValueError:
+        value = 0
+    if not value > 0:
+        raise ValueError(f"{name} must be a positive {kind.__name__}, "
+                         f"got {text!r}")
+    return value
 
 
 class BudgetExceeded(RuntimeError):
@@ -87,15 +102,16 @@ def _divides(a: Monomial, b: Monomial) -> bool:
     return True
 
 
-def _to_g(f: Polynomial, keyf) -> list:
-    if not f.terms:
+def _to_g(terms: dict, keyf) -> list:
+    """Rational term dict -> primitive gpoly."""
+    if not terms:
         return []
     den = 1
-    for c in f.terms.values():
+    for c in terms.values():
         den = math.lcm(den, int(c.denominator))
-    terms = [(keyf(m), m, int(c * den)) for m, c in f.terms.items()]
-    terms.sort(reverse=True)
-    return _primitive(terms)
+    out = [(keyf(m), m, int(c * den)) for m, c in terms.items()]
+    out.sort(reverse=True)
+    return _primitive(out)
 
 
 def _primitive(terms: list) -> list:
@@ -111,18 +127,6 @@ def _primitive(terms: list) -> list:
     if g != 1:
         terms = [(k, m, c // g) for k, m, c in terms]
     return terms
-
-
-def _nf_dict_to_g(nf: dict, keyf) -> list:
-    """Rational normal-form dict -> primitive gpoly."""
-    if not nf:
-        return []
-    den = 1
-    for c in nf.values():
-        den = math.lcm(den, int(c.denominator))
-    terms = [(keyf(m), m, int(c * den)) for m, c in nf.items()]
-    terms.sort(reverse=True)
-    return _primitive(terms)
 
 
 def _shifted(g: list, umono: Monomial, ukey: tuple, factor: int) -> list:
@@ -297,7 +301,7 @@ def _buchberger_core(ggens: list, keyf, budget: Budget) -> list:
 
     for g in sorted((g for g in ggens if g), key=lambda p: (p[0][0], p)):
         nf = _g_nf(g, basis, deadline=deadline, t0=t0)
-        gg = _nf_dict_to_g(nf, keyf)
+        gg = _to_g(nf, keyf)
         if gg:
             insert(gg)
 
@@ -318,7 +322,7 @@ def _buchberger_core(ggens: list, keyf, budget: Budget) -> list:
         if not s:
             continue
         nf = _g_nf(s, basis, deadline=deadline, t0=t0)
-        gg = _nf_dict_to_g(nf, keyf)
+        gg = _to_g(nf, keyf)
         if gg:
             insert(gg)
 
@@ -336,7 +340,7 @@ def _buchberger_core(ggens: list, keyf, budget: Budget) -> list:
     for pos, g in enumerate(minimal):
         others = reduced + minimal[pos + 1:]
         nf = _g_nf(g, others, deadline=deadline, t0=t0)
-        reduced.append(_nf_dict_to_g(nf, keyf))
+        reduced.append(_to_g(nf, keyf))
     return reduced
 
 
@@ -356,7 +360,7 @@ def buchberger(gens, order: MonomialOrder = GREVLEX,
     nvars = gens[0].nvars
     budget = budget or Budget.from_env()
     keyf = order.key
-    core = _buchberger_core([_to_g(g, keyf) for g in gens], keyf, budget)
+    core = _buchberger_core([_to_g(g.terms, keyf) for g in gens], keyf, budget)
     return [_g_to_poly(g, nvars) for g in core]
 
 
@@ -397,7 +401,7 @@ class Ideal:
         if self._gb is None:
             keyf = self.order.key
             core = _buchberger_core(
-                [_to_g(g, keyf) for g in self.gens],
+                [_to_g(g.terms, keyf) for g in self.gens],
                 keyf,
                 self.budget or Budget.from_env(),
             )
@@ -413,7 +417,7 @@ class Ideal:
         """Install an externally computed reduced basis (trusted)."""
         keyf = self.order.key
         self._gb = tuple(polys)
-        self._gbg = [_to_g(g, keyf) for g in polys]
+        self._gbg = [_to_g(g.terms, keyf) for g in polys]
 
     def leading_monomials(self) -> tuple:
         return tuple(g[0][1] for g in self._core())
@@ -439,7 +443,7 @@ class Ideal:
             raise RingContextError("polynomial in a different ring")
         if not f:
             return True
-        return _g_nf(_to_g(f, self.order.key), self._core(),
+        return _g_nf(_to_g(f.terms, self.order.key), self._core(),
                      member_only=True) == {}
 
     def contains_ideal(self, other: "Ideal") -> bool:

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 try:
     from gmpy2 import mpq as QQ
@@ -477,13 +477,15 @@ class LinearSubstitution:
             raise ValueError("substitution matrix must be square")
         self.nvars = n
         self.rows = rows
-        # monomial fast path: every row has at most one nonzero entry
+        # monomial fast path: every row has exactly one nonzero entry, kept
+        # as an int when it is integral
         self._mono = []
         monomial = True
         for row in rows:
             nz = [(j, c) for j, c in enumerate(row) if c]
             if len(nz) == 1:
-                self._mono.append(nz[0])
+                j, c = nz[0]
+                self._mono.append((j, int(c) if c.denominator == 1 else c))
             else:
                 monomial = False
                 break
@@ -522,19 +524,13 @@ class LinearSubstitution:
             raise RingContextError("polynomial/matrix size mismatch")
         n = self.nvars
         if self.is_monomial:
-            table = self._mono
+            image = self.monomial_image
             terms: dict = {}
             for m, c in f.terms.items():
-                new = [0] * n
-                coeff = c
-                for i, e in enumerate(m):
-                    if e:
-                        j, scale = table[i]
-                        new[j] += e
-                        if scale != ONE:
-                            coeff = coeff * scale**e
-                key = tuple(new)
-                s = terms.get(key, ZERO) + coeff
+                key, scale = image(m)
+                if scale != 1:
+                    c = c * scale
+                s = terms.get(key, ZERO) + c
                 if s:
                     terms[key] = s
                 else:
@@ -569,6 +565,18 @@ class LinearSubstitution:
         out.terms = {e: QQ(v, total) for e, v in acc.items() if v}
         out._hash = None
         return out
+
+    def monomial_image(self, m: Monomial) -> tuple:
+        """(image monomial, scale) of m under a monomial matrix."""
+        new = [0] * self.nvars
+        scale = 1
+        for i, e in enumerate(m):
+            if e:
+                j, s = self._mono[i]
+                new[j] += e
+                if s != 1:
+                    scale *= s**e
+        return tuple(new), scale
 
 
 class _Block:

@@ -14,9 +14,10 @@ character because every ambient realization here is reflection-faithful.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .linalg import Matrix, block_diag, identity, mat, mat_det, mat_inv, mat_mul
 from .polyring import LinearSubstitution, ONE, Polynomial, QQ, RingContextError, ZERO
@@ -204,21 +205,26 @@ class WeylGroup:
         )
         covered = set()
         reps = []
-        mono_set = set(self._monomial)
         for w in self.elements:
             if w in covered:
                 continue
             reps.append(w)
             for h in self._monomial:
                 covered.add(mat_mul(w, h))
+        # W is the disjoint union of the cosets r*H, and so of the H*r^-1
         self._coset_reps = tuple(reps)
+        self._coset_inverses = tuple(mat_inv(r) for r in reps)
         assert len(self._coset_reps) * len(self._monomial) == self.order
-        # per-monomial orbit projections, filled lazily by consumers
+        # per-monomial orbit projections, filled lazily by consumers, and
+        # the distinct pairs they hold
         self.projection_memo: dict = {True: {}, False: {}}
+        self._projection_pairs: dict = {}
 
-    @property
-    def is_monomial_group(self) -> bool:
-        return len(self._coset_reps) == 1
+    @functools.cached_property
+    def _monomial_action(self) -> tuple:
+        """(substitution, sign) of every element of the monomial subgroup."""
+        return tuple((self._substitution(h), self.signs[h])
+                     for h in self._monomial)
 
     # -- actions -------------------------------------------------------------
 
@@ -255,14 +261,14 @@ class WeylGroup:
         return self._average(f, signed=True)
 
     def _average(self, f: Polynomial, signed: bool) -> Polynomial:
+        # sum over r*H: the monomial elements act first, since the reverse
+        # order was measured about 1.5x slower on G2
         acc = Polynomial.zero(f.nvars)
         for h in self._monomial:
             img = self.act(h, f)
             if signed and self.signs[h] < 0:
                 img = -img
             acc = acc + img
-        if len(self._coset_reps) == 1:
-            return acc * QQ(1, self.order)
         total = Polynomial.zero(f.nvars)
         for r in self._coset_reps:
             img = self.act(r, acc)

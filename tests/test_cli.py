@@ -101,3 +101,36 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as stop:
             cli.main([])
         assert stop.value.code == 64
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "g2-ideal-equality", "--degree-bound", "-1"],
+        ["verify", "dunkl", "--samples", "0"],
+        ["cells", "table", "--n", "-2"],
+        ["report", "--jobs", "0"],
+    ])
+    def test_out_of_range_count_is_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as stop:
+            cli.main(argv)
+        assert stop.value.code == 64
+        assert "must be at least" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name, value", [
+        ("DIAGONALS_MAX_SECONDS", "abc"),
+        ("DIAGONALS_MAX_SECONDS", "0"),
+        ("DIAGONALS_MAX_SECONDS", "-5"),
+        ("DIAGONALS_MAX_BASIS", "abc"),
+        ("DIAGONALS_MAX_BASIS", "0"),
+    ])
+    def test_bad_budget_variable_is_usage_error(self, capsys, monkeypatch,
+                                                name, value):
+        monkeypatch.setenv(name, value)
+        assert cli.main(["verify", "cells"]) == 64
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and name in err
+
+    @pytest.mark.parametrize("bound, samples", [("8", "9"), ("10", "40")])
+    def test_benchmark_arguments_parse(self, bound, samples):
+        args = cli.build_parser().parse_args(
+            ["report", "--degree-bound", bound, "--seed", "3",
+             "--samples", samples])
+        assert (args.degree_bound, args.samples) == (int(bound), int(samples))

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -5,7 +6,6 @@ import pytest
 from diagonals.diagideals import (
     Comparison,
     alternant_basis,
-    alternant_dimension,
     alternant_generators,
     averaged_multiple_dim,
     compare,
@@ -22,9 +22,16 @@ from diagonals.diagideals import (
     x_form,
     y_form,
 )
-from diagonals.groebner import Ideal, ideal_equal, ideal_power, nf_monomial_table
-from diagonals.linalg import RowEchelon
+from diagonals.groebner import (
+    Ideal,
+    graded_basis,
+    ideal_equal,
+    ideal_power,
+    nf_monomial_table,
+)
+from diagonals.linalg import RowEchelon, mat_det, mat_inv, rank_of_rows, transpose
 from diagonals.polyring import (
+    ONE,
     Polynomial,
     QQ,
     ZERO,
@@ -55,6 +62,33 @@ def alternant_dim_oracle(W, a, b):
             if ech.add(cols[u]):
                 rank += 1
     return len(monos) - rank
+
+
+def _complete_homogeneous(M, top):
+    """h_0..h_top of the eigenvalues of M, the coefficients of
+    1/det(1 - s*M), from the principal minors e_k by the e/h recurrence."""
+    n = len(M)
+    e = [sum((mat_det(tuple(tuple(M[i][j] for j in S) for i in S))
+              for S in itertools.combinations(range(n), k)), ZERO)
+         for k in range(n + 1)]
+    h = [ONE]
+    for k in range(1, top + 1):
+        h.append(sum(((-1) ** (i + 1) * e[i] * h[k - i]
+                      for i in range(1, min(k, n) + 1)), ZERO))
+    return h
+
+
+def molien_alternant_dims(W, top):
+    """{(a, b): dim of the alternants of bidegree (a, b)} for a + b <= top,
+    read off the bigraded Molien series
+    (1/|W|) sum_w det(w) / (det(1 - s*w^-1) det(1 - t*w^T))."""
+    dims = {(a, b): ZERO for a in range(top + 1) for b in range(top + 1 - a)}
+    for w in W.elements:
+        hx = _complete_homogeneous(mat_inv(w), top)
+        hy = _complete_homogeneous(transpose(w), top)
+        for a, b in dims:
+            dims[a, b] += W.sign(w) * hx[a] * hy[b]
+    return {ab: v / W.order for ab, v in dims.items()}
 
 
 class TestForms:
@@ -133,12 +167,21 @@ class TestAlternants:
         W = WeylGroup(root_system("B2"))
         for a in range(0, 4):
             for b in range(0, 3):
-                assert alternant_dimension(W, a, b) == alternant_dim_oracle(W, a, b)
+                assert (len(alternant_basis(W, a, b))
+                        == alternant_dim_oracle(W, a, b))
 
     def test_dimensions_match_constraint_oracle_dense(self):
         W = WeylGroup(root_system("G2"))
         for a, b in ((0, 0), (1, 1), (2, 1), (3, 0), (2, 2)):
-            assert alternant_dimension(W, a, b) == alternant_dim_oracle(W, a, b)
+            assert (len(alternant_basis(W, a, b))
+                    == alternant_dim_oracle(W, a, b))
+
+    @pytest.mark.parametrize("name, top", [
+        ("A1", 6), ("A2", 6), ("B2", 6), ("B3", 6), ("G2", 6), ("C3", 5)])
+    def test_dimensions_match_molien_series(self, name, top):
+        W = WeylGroup(root_system(name))
+        for (a, b), dim in molien_alternant_dims(W, top).items():
+            assert len(alternant_basis(W, a, b)) == dim, (a, b)
 
     def test_basis_elements_are_alternating(self):
         for name in ("B2", "G2"):
@@ -161,18 +204,25 @@ class TestAlternants:
         assert all(g.total_degree() <= 4 for g in J.gens)
 
     def test_orbit_projection_matches_naive_average(self):
-        W = WeylGroup(root_system("B2"))
-        rng = random.Random(2)
-        for _ in range(20):
-            mono = tuple(rng.randint(0, 3) for _ in range(4))
-            for signed in (False, True):
-                rep, coeff = orbit_projection(W, mono, signed)
-                single = Polynomial(4, {mono: 1})
-                avg = (W.antisymmetrize(single) if signed
-                       else W.symmetrize(single))
-                assert avg.coefficient(rep) == coeff
-                if coeff:
-                    assert rep == max(avg.terms)
+        # the projection averages over the monomial subgroup, which is all
+        # of B2 but only six of the twelve elements of G2
+        for name in ("B2", "G2"):
+            W = WeylGroup(root_system(name))
+            nvars = 2 * W.ambient
+            rng = random.Random(2)
+            for _ in range(20):
+                mono = tuple(rng.randint(0, 3) for _ in range(nvars))
+                single = Polynomial(nvars, {mono: 1})
+                for signed in (False, True):
+                    rep, coeff = orbit_projection(W, mono, signed)
+                    avg = Polynomial.zero(nvars)
+                    for h in W._monomial:
+                        sign = W.sign(h) if signed else 1
+                        avg = avg + sign * W.act(h, single)
+                    avg = avg * QQ(1, len(W._monomial))
+                    assert avg.coefficient(rep) == coeff
+                    if coeff:
+                        assert rep == max(avg.terms)
 
     def test_primitive_part(self):
         x1, x2, y1, y2 = variables(4)
@@ -201,7 +251,7 @@ class TestAveragedImages:
         W = WeylGroup(rs)
         I = ideal_I(rs)
         for d in range(2, 7):
-            expected = sum(alternant_dimension(W, a, d - a)
+            expected = sum(len(alternant_basis(W, a, d - a))
                            for a in range(d + 1))
             assert invariant_image_dim(W, I, d, signed=True) == expected
 
@@ -215,6 +265,24 @@ class TestAveragedImages:
         for k in (2, 3, 4):
             dims = {averaged_multiple_dim(W, delta, X, k) for X in (I, J, A)}
             assert len(dims) == 1
+
+    def test_compressed_rows_match_full_averages_g2(self):
+        # reference: the rank of the full dense averages, with no orbit
+        # compression
+        rs = root_system("G2")
+        W = WeylGroup(rs)
+        I = ideal_I(rs)
+        A = full_ring_ideal(6)
+        delta = discriminant(rs)
+        for X, d in ((I, 3), (I, 4), (A, 2), (A, 3)):
+            basis = graded_basis(X, d)
+            for signed in (False, True):
+                average = W.antisymmetrize if signed else W.symmetrize
+                full = rank_of_rows(dict(average(b).terms) for b in basis)
+                assert invariant_image_dim(W, X, d, signed) == full
+            full = rank_of_rows(dict(W.symmetrize(delta * b).terms)
+                                for b in basis)
+            assert averaged_multiple_dim(W, delta, X, d) == full
 
     def test_full_ring_ideal_basis(self):
         A = full_ring_ideal(4)

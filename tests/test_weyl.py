@@ -201,6 +201,16 @@ def test_g2_coset_structure():
     assert len(B._coset_reps) == 1
 
 
+@pytest.mark.parametrize("name", ["A1", "A2", "B2", "B3", "C3", "D3", "G2"])
+def test_monomial_cosets_partition_the_group(name):
+    # W is the disjoint union of the cosets H*r^-1 that group averaging
+    # splits into (H the monomial subgroup, r the coset representatives)
+    W = WeylGroup(root_system(name))
+    products = [mat_mul(h, rinv) for h in W._monomial
+                for rinv in W._coset_inverses]
+    assert sorted(products) == sorted(W.elements)
+
+
 def test_family_parsing():
     assert root_system("b", 3).name == "B3"
     assert root_system("G2").name == "G2"
