@@ -6,7 +6,9 @@ Subcommands:
   report            run every verification target, optionally in parallel
 
 Exit codes: 0 all checks passed, 1 a check found a contradiction,
-2 a computation hit its budget, 64 usage error.
+2 a computation hit its budget, 3 a comparison was inconclusive because
+the degree bound is too small to decide it (and nothing failed or
+aborted), 64 usage error.
 
 Output is deterministic for a fixed seed and fixed bounds; wall-clock
 timings are only included when --timings is passed so that repeated runs
@@ -88,6 +90,13 @@ def _random_x_poly(rng: random.Random, ambient: int, max_deg: int,
                       {m + (0,) * ambient: c for m, c in base.terms.items()})
 
 
+def _flag_inconclusive(result: dict, cmp) -> dict:
+    """Mark a result whose comparison could not be decided at its bound."""
+    if cmp.relation == "inconclusive":
+        result["inconclusive"] = True
+    return result
+
+
 def _build_both(name: str, bound: int, budget: Budget):
     rs = root_system(name)
     W = WeylGroup(rs)
@@ -103,14 +112,14 @@ def _t_g2_ideal_equality(opts: dict) -> dict:
     bound = opts["bound"]
     W, I, J = _build_both("G2", bound, Budget.from_env())
     cmp = compare(J, I, bound)
-    return {
+    return _flag_inconclusive({
         "ok": cmp.relation == "equal",
         "details": {
             "comparison": cmp.to_json(),
             "gbSizeIntersection": len(I.groebner_basis()),
             "gbSizeAlternant": len(J.groebner_basis()),
         },
-    }
+    }, cmp)
 
 
 def _t_b3_strict_inclusion(opts: dict) -> dict:
@@ -128,7 +137,7 @@ def _t_b3_strict_inclusion(opts: dict) -> dict:
           and cmp.certificate["degree"] == 6
           and cmp.certificate["dimRight"] - cmp.certificate["dimLeft"] == 1
           and extra == {6: 1})
-    return {
+    return _flag_inconclusive({
         "ok": ok,
         "details": {
             "comparison": cmp.to_json(),
@@ -138,7 +147,7 @@ def _t_b3_strict_inclusion(opts: dict) -> dict:
                 {str(d): c for d, c in sorted(counts_j.items()) if c},
             "extraGenerators": {str(d): c for d, c in extra.items()},
         },
-    }
+    }, cmp)
 
 
 def _t_b3_invariant_images(opts: dict) -> dict:
@@ -393,8 +402,12 @@ def _emit(text: str, args) -> None:
 
 
 def _result_lines(result: dict) -> list:
-    status = "PASS" if result["ok"] else (
-        "ABORT" if result.get("aborted") else "FAIL")
+    if result["ok"]:
+        status = "PASS"
+    elif result.get("aborted"):
+        status = "ABORT"
+    else:
+        status = "INCONCLUSIVE" if result.get("inconclusive") else "FAIL"
     lines = [f"{status} {result['target']}"]
     for key, value in sorted(result.get("details", {}).items()):
         lines.append(f"  {key}: {json.dumps(value, sort_keys=True)}")
@@ -404,7 +417,9 @@ def _result_lines(result: dict) -> list:
 def _exit_code(results: list) -> int:
     if any(r.get("aborted") == "budget" for r in results):
         return 2
-    return 0 if all(r["ok"] for r in results) else 1
+    if any(not r["ok"] and not r.get("inconclusive") for r in results):
+        return 1
+    return 3 if any(r.get("inconclusive") for r in results) else 0
 
 
 def _table_text(n: int) -> str:

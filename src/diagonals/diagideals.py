@@ -262,11 +262,14 @@ class Comparison:
       left-strictly-contained  left ideal strictly inside the right one
       right-strictly-contained mirror image
       incomparable-at-bound    neither containment holds
+      inconclusive             a side is truncated and no witness decides
 
-    The relation statements are exact for the ideals generated by the
-    given generators.  When a side carries generated_up_to, statements
-    about the untruncated ideal are only safe through that degree; the
-    bounds_used field carries everything needed for that bookkeeping.
+    Containments are exact for the ideals generated by the given
+    generators.  A side X carrying generated_up_to = b agrees with its
+    untruncated ideal only through degree b, so the claim that the other
+    side is not inside X stands only with a witness: a generator of the
+    other side of degree <= b outside X.  Without one the relation is
+    inconclusive.  The bounds_used field records the bounds involved.
     """
 
     relation: str
@@ -285,11 +288,24 @@ class Comparison:
         }
 
 
+def _escapes(inner: Ideal, outer: Ideal):
+    """Whether outer is not inside inner: True, False, or None when every
+    generator outside inner lies above inner's generated_up_to."""
+    bound = inner.generated_up_to
+    found = False
+    for g in outer.gens:
+        if not inner.contains(g):
+            if bound is None or g.total_degree() <= bound:
+                return True
+            found = None
+    return found
+
+
 def compare(L: Ideal, R: Ideal, bound: int) -> Comparison:
     dims_left = tuple(L.graded_dim(d) for d in range(bound + 1))
     dims_right = tuple(R.graded_dim(d) for d in range(bound + 1))
-    left_in_right = all(R.contains(g) for g in L.gens)
-    right_in_left = all(L.contains(g) for g in R.gens)
+    left_out = _escapes(R, L)
+    right_out = _escapes(L, R)
     certificate = None
     for d in range(bound + 1):
         if dims_left[d] != dims_right[d]:
@@ -299,14 +315,13 @@ def compare(L: Ideal, R: Ideal, bound: int) -> Comparison:
                 "dimRight": dims_right[d],
             }
             break
-    if left_in_right and right_in_left:
-        relation = "equal"
-    elif left_in_right:
-        relation = "left-strictly-contained"
-    elif right_in_left:
-        relation = "right-strictly-contained"
+    if left_out is None or right_out is None:
+        relation = "inconclusive"
+    elif left_out:
+        relation = ("incomparable-at-bound" if right_out
+                    else "right-strictly-contained")
     else:
-        relation = "incomparable-at-bound"
+        relation = "left-strictly-contained" if right_out else "equal"
     return Comparison(
         relation=relation,
         certificate=certificate,

@@ -7,9 +7,17 @@ is fraction-free: cross-multiplied subtractions keep everything in ZZ and
 a per-emission scale records the exact rational normal form at the end.
 
 Pair management follows the classic update procedure with the product and
-chain criteria; selection is the normal strategy (smallest lcm first).
-All choices are deterministic, so a basis is a pure function of the
-generators, the order, and nothing else.
+chain criteria.  Selection is the sugar strategy of Giovini, Mora, Niesi,
+Robbiano and Traverso ("One sugar cube, please", ISSAC 1991): every basis
+element carries a sugar, the total degree of its input generator or the
+sugar of the pair whose S-polynomial produced it, and pairs are taken by
+smallest sugar, then smallest lcm, then index.  The sugar is the degree a
+pair would have if the input were homogenized, so under the block order of
+ideal_intersect, whose keys put the t-degree first, pairs still come in
+order of total degree; on homogeneous grevlex input it is the lcm degree
+and the order is the normal strategy's (smallest lcm first).  All choices
+are deterministic, so a basis is a pure function of the generators, the
+order, and nothing else.
 """
 
 from __future__ import annotations
@@ -20,6 +28,7 @@ import math
 import os
 import time
 from dataclasses import dataclass
+from operator import add, sub
 
 from .polyring import (
     GREVLEX,
@@ -130,14 +139,8 @@ def _primitive(terms: list) -> list:
 
 
 def _shifted(g: list, umono: Monomial, ukey: tuple, factor: int) -> list:
-    return [
-        (
-            tuple(a + b for a, b in zip(k, ukey)),
-            tuple(a + b for a, b in zip(m, umono)),
-            factor * c,
-        )
-        for k, m, c in g
-    ]
+    return [(tuple(map(add, k, ukey)), tuple(map(add, m, umono)), factor * c)
+            for k, m, c in g]
 
 
 def _combine(a: int, f: list, fstart: int, h: list) -> list:
@@ -206,8 +209,8 @@ def _g_nf(fg: list, basis: list, member_only: bool = False,
         d = math.gcd(c, gc)
         a = gc // d
         b = c // d
-        umono = tuple(x - y for x, y in zip(m, gm))
-        ukey = tuple(x - y for x, y in zip(k, gk))
+        umono = tuple(map(sub, m, gm))
+        ukey = tuple(map(sub, k, gk))
         h = _shifted(red, umono, ukey, b)
         work = _combine(a, work, pos + 1, h[1:])
         pos = 0
@@ -228,12 +231,12 @@ def _g_nf(fg: list, basis: list, member_only: bool = False,
 def _g_spoly(f: list, g: list, keyf) -> list:
     kf, mf, cf = f[0]
     kg, mg, cg = g[0]
-    lcm_m = tuple(max(a, b) for a, b in zip(mf, mg))
+    lcm_m = tuple(map(max, mf, mg))
     d = math.gcd(cf, cg)
     a = cg // d
     b = cf // d
-    uf = tuple(x - y for x, y in zip(lcm_m, mf))
-    ug = tuple(x - y for x, y in zip(lcm_m, mg))
+    uf = tuple(map(sub, lcm_m, mf))
+    ug = tuple(map(sub, lcm_m, mg))
     F = _shifted(f[1:], uf, keyf(uf), a)
     G = _shifted(g[1:], ug, keyf(ug), b)
     return _primitive(_combine(1, F, 0, G))
@@ -243,11 +246,16 @@ def _coprime(a: Monomial, b: Monomial) -> bool:
     return all(x == 0 or y == 0 for x, y in zip(a, b))
 
 
-def _update_pairs(leads, alive, lcm_of, heap, t, keyf):
-    """Register pairs (i, t), pruned by the product and chain criteria."""
+def _update_pairs(leads, sugars, alive, lcm_of, heap, t, keyf):
+    """Register pairs (i, t), pruned by the product and chain criteria.
+
+    A kept pair enters the heap as (sugar, lcm key, i, t), where its sugar
+    is the larger of sugar_i + deg(lcm) - deg(lead_i) over both elements.
+    """
+    lt = leads[t]
     cand = []
     for i in range(t):
-        l = tuple(max(a, b) for a, b in zip(leads[i], leads[t]))
+        l = tuple(map(max, leads[i], lt))
         cand.append((keyf(l), i, l))
     cand.sort()
     kept: list = []
@@ -268,20 +276,20 @@ def _update_pairs(leads, alive, lcm_of, heap, t, keyf):
         if not drop:
             kept.append((i, l, lk, False))
     # chain criterion against existing pairs
-    lt = leads[t]
     for (i, j) in list(alive):
         l = lcm_of[(i, j)]
-        li = tuple(max(a, b) for a, b in zip(leads[i], lt))
-        lj = tuple(max(a, b) for a, b in zip(leads[j], lt))
-        if _divides(lt, l) and li != l and lj != l:
+        if (_divides(lt, l) and tuple(map(max, leads[i], lt)) != l
+                and tuple(map(max, leads[j], lt)) != l):
             alive.discard((i, j))
             del lcm_of[(i, j)]
+    sugar_t = sugars[t] - sum(lt)
     for i, l, lk, coprime in kept:
         if coprime:
             continue
         alive.add((i, t))
         lcm_of[(i, t)] = l
-        heapq.heappush(heap, (lk, i, t))
+        sugar = sum(l) + max(sugars[i] - sum(leads[i]), sugar_t)
+        heapq.heappush(heap, (sugar, lk, i, t))
 
 
 def _buchberger_core(ggens: list, keyf, budget: Budget) -> list:
@@ -290,24 +298,27 @@ def _buchberger_core(ggens: list, keyf, budget: Budget) -> list:
     deadline = t0 + budget.max_seconds
     basis: list = []
     leads: list = []
+    sugars: list = []
     alive: set = set()
     lcm_of: dict = {}
     heap: list = []
 
-    def insert(g: list):
+    def insert(g: list, sugar: int):
         basis.append(g)
         leads.append(g[0][1])
-        _update_pairs(leads, alive, lcm_of, heap, len(basis) - 1, keyf)
+        sugars.append(sugar)
+        _update_pairs(leads, sugars, alive, lcm_of, heap, len(basis) - 1,
+                      keyf)
 
     for g in sorted((g for g in ggens if g), key=lambda p: (p[0][0], p)):
         nf = _g_nf(g, basis, deadline=deadline, t0=t0)
         gg = _to_g(nf, keyf)
         if gg:
-            insert(gg)
+            insert(gg, max(sum(m) for _, m, _ in g))
 
     pops = 0
     while heap:
-        lk, i, j = heapq.heappop(heap)
+        sugar, _, i, j = heapq.heappop(heap)
         if (i, j) not in alive:
             continue
         alive.discard((i, j))
@@ -324,7 +335,7 @@ def _buchberger_core(ggens: list, keyf, budget: Budget) -> list:
         nf = _g_nf(s, basis, deadline=deadline, t0=t0)
         gg = _to_g(nf, keyf)
         if gg:
-            insert(gg)
+            insert(gg, sugar)
 
     # minimalize: drop elements whose lead is divisible by another kept lead
     order_idx = sorted(range(len(basis)), key=lambda i: basis[i][0][0])
@@ -357,11 +368,7 @@ def buchberger(gens, order: MonomialOrder = GREVLEX,
     gens = [g for g in gens if g]
     if not gens:
         return []
-    nvars = gens[0].nvars
-    budget = budget or Budget.from_env()
-    keyf = order.key
-    core = _buchberger_core([_to_g(g.terms, keyf) for g in gens], keyf, budget)
-    return [_g_to_poly(g, nvars) for g in core]
+    return list(Ideal(gens, order, budget=budget).groebner_basis())
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +381,9 @@ class Ideal:
 
     generated_up_to, when set, records that the generator list is only
     trusted to span the ideal's graded pieces through that total degree;
-    comparisons report an inconclusive verdict past it.
+    diagideals.compare then claims that another ideal is not inside this
+    one only with a witness, a generator of degree at most that bound
+    outside it, and reports an inconclusive relation otherwise.
     """
 
     def __init__(self, gens, order: MonomialOrder = GREVLEX, *,
@@ -447,7 +456,7 @@ class Ideal:
                      member_only=True) == {}
 
     def contains_ideal(self, other: "Ideal") -> bool:
-        return all(self.contains(g) for g in other.gens)
+        return all(self.contains(g) for g in other.groebner_basis())
 
     # -- graded data ---------------------------------------------------------
 
@@ -510,16 +519,19 @@ def ideal_sum(I: Ideal, J: Ideal) -> Ideal:
 
 
 def ideal_product(I: Ideal, J: Ideal) -> Ideal:
+    """Generated by the products of the two reduced bases."""
     _same_ring(I, J)
-    gens = [f * g for f in I.gens for g in J.gens]
+    gens = [f * g for f in I.groebner_basis() for g in J.groebner_basis()]
     return Ideal(gens, I.order, nvars=I.nvars, budget=I.budget)
 
 
 def ideal_power(I: Ideal, k: int) -> Ideal:
+    """Generated by the k-fold products of the reduced basis of I."""
     if k < 1:
         raise ValueError("power must be >= 1")
     gens = [math.prod(combo, start=Polynomial.constant(I.nvars, 1))
-            for combo in itertools.combinations_with_replacement(I.gens, k)]
+            for combo in itertools.combinations_with_replacement(
+                I.groebner_basis(), k)]
     return Ideal(gens, I.order, nvars=I.nvars, budget=I.budget)
 
 

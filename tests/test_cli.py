@@ -66,6 +66,26 @@ class TestVerify:
                                       "dimRight": 25}
         assert result["details"]["extraGenerators"] == {"6": 1}
 
+    @pytest.mark.parametrize("target, bound", [
+        ("g2-ideal-equality", "4"),
+        ("b3-strict-inclusion", "5"),
+    ])
+    def test_bound_below_top_generator_is_inconclusive(self, capsys,
+                                                       target, bound):
+        # the bound sits under the top minimal-generator degree (G2 6,
+        # B3 9) and under the B3 gap in degree 6, so nothing decides
+        code, out = run(capsys, ["verify", target, "--degree-bound", bound])
+        assert code == 3
+        assert out.startswith(f"INCONCLUSIVE {target}")
+        code, out = run(capsys, ["verify", target, "--degree-bound", bound,
+                                 "--format", "json"])
+        assert code == 3
+        result = json.loads(out)
+        assert result["inconclusive"] is True and result["ok"] is False
+        cmp = result["details"]["comparison"]
+        assert cmp["relation"] == "inconclusive"
+        assert cmp["dimsLeft"] == cmp["dimsRight"]
+
     def test_deterministic_output(self, capsys):
         _, first = run(capsys, ["verify", "dunkl", "--samples", "2",
                                 "--format", "json"])
