@@ -30,8 +30,6 @@ from .groebner import (
 )
 from .linalg import RowEchelon
 from .polyring import (
-    GREVLEX,
-    MonomialOrder,
     ONE,
     Polynomial,
     QQ,
@@ -58,32 +56,28 @@ def y_form(rs: RootSystem, k: int) -> Polynomial:
     return Polynomial.linear_form(2 * n, [0] * n + list(coeffs))
 
 
-def pair_ideal(rs: RootSystem, k: int, order: MonomialOrder = GREVLEX,
-               budget: Budget | None = None) -> Ideal:
-    return Ideal([x_form(rs, k), y_form(rs, k)], order, budget=budget)
+def pair_ideal(rs: RootSystem, k: int, budget: Budget | None = None) -> Ideal:
+    return Ideal([x_form(rs, k), y_form(rs, k)], budget=budget)
 
 
 def pair_ideal_power(rs: RootSystem, k: int, d: int,
-                     order: MonomialOrder = GREVLEX,
                      budget: Budget | None = None) -> Ideal:
     """d-th power of a pair ideal: spanned by lx^i * ly^(d-i)."""
     lx, ly = x_form(rs, k), y_form(rs, k)
     gens = [lx**i * ly ** (d - i) for i in range(d, -1, -1)]
-    return Ideal(gens, order, budget=budget)
+    return Ideal(gens, budget=budget)
 
 
-def ideal_I(rs: RootSystem, order: MonomialOrder = GREVLEX,
-            budget: Budget | None = None) -> Ideal:
+def ideal_I(rs: RootSystem, budget: Budget | None = None) -> Ideal:
     """Intersection of every pair ideal."""
-    parts = [pair_ideal(rs, k, order, budget)
-             for k in range(len(rs.positive_roots))]
+    parts = [pair_ideal(rs, k, budget) for k in range(len(rs.positive_roots))]
     return intersect_many(parts, budget=budget)
 
 
-def symbolic_power(rs: RootSystem, d: int, order: MonomialOrder = GREVLEX,
+def symbolic_power(rs: RootSystem, d: int,
                    budget: Budget | None = None) -> Ideal:
     """I^(d): intersection of the d-th powers of the pair ideals."""
-    parts = [pair_ideal_power(rs, k, d, order, budget)
+    parts = [pair_ideal_power(rs, k, d, budget)
              for k in range(len(rs.positive_roots))]
     return intersect_many(parts, budget=budget)
 
@@ -103,7 +97,7 @@ def discriminant(rs: RootSystem) -> Polynomial:
 # ---------------------------------------------------------------------------
 
 
-def primitive_part(f: Polynomial, order: MonomialOrder = GREVLEX) -> Polynomial:
+def primitive_part(f: Polynomial) -> Polynomial:
     """Rescale to coprime integer coefficients with positive leading one."""
     if not f:
         return f
@@ -114,7 +108,7 @@ def primitive_part(f: Polynomial, order: MonomialOrder = GREVLEX) -> Polynomial:
     for c in f.terms.values():
         num = math.gcd(num, int(c * den))
     scale = QQ(den, num)
-    if f.leading_coefficient(order) < 0:
+    if f.leading_coefficient() < 0:
         scale = -scale
     return f * scale
 
@@ -205,7 +199,7 @@ def alternant_generators(W: WeylGroup, max_degree: int) -> list:
     return out
 
 
-def ideal_J(W: WeylGroup, max_degree: int, order: MonomialOrder = GREVLEX,
+def ideal_J(W: WeylGroup, max_degree: int,
             budget: Budget | None = None) -> Ideal:
     """Ideal generated by every alternant of total degree <= max_degree.
 
@@ -214,7 +208,7 @@ def ideal_J(W: WeylGroup, max_degree: int, order: MonomialOrder = GREVLEX,
     degrees need the comparison layer's explicit bound bookkeeping.
     """
     gens = alternant_generators(W, max_degree)
-    return Ideal(gens, order, nvars=2 * W.ambient,
+    return Ideal(gens, nvars=2 * W.ambient,
                  generated_up_to=max_degree, budget=budget)
 
 
@@ -223,29 +217,29 @@ def ideal_J(W: WeylGroup, max_degree: int, order: MonomialOrder = GREVLEX,
 # ---------------------------------------------------------------------------
 
 
-def invariant_image_dim(W: WeylGroup, I: Ideal, d: int, signed: bool = False,
-                        table: dict | None = None) -> int:
+def invariant_image_dim(W: WeylGroup, I: Ideal, d: int,
+                        signed: bool = False) -> int:
     """dim of the space of (anti)symmetrized elements of the degree-d piece."""
     if I.nvars != 2 * W.ambient:
         raise ValueError("ideal does not live on the doubled space")
     ech = RowEchelon()
-    for b in graded_basis(I, d, table):
+    for b in graded_basis(I, d):
         ech.add(_compressed_row(W, b, signed))
     return ech.rank
 
 
 def averaged_multiple_dim(W: WeylGroup, multiplier: Polynomial, I: Ideal,
-                          k: int, table: dict | None = None) -> int:
+                          k: int) -> int:
     """dim of e(multiplier * I_k), the symmetrized multiplier-shifted piece."""
     ech = RowEchelon()
-    for b in graded_basis(I, k, table):
+    for b in graded_basis(I, k):
         ech.add(_compressed_row(W, multiplier * b, False))
     return ech.rank
 
 
-def full_ring_ideal(nvars: int, order: MonomialOrder = GREVLEX) -> Ideal:
+def full_ring_ideal(nvars: int) -> Ideal:
     """The unit ideal, whose degree-d basis is every monomial."""
-    return Ideal([Polynomial.constant(nvars, 1)], order, nvars=nvars)
+    return Ideal([Polynomial.constant(nvars, 1)], nvars=nvars)
 
 
 # ---------------------------------------------------------------------------

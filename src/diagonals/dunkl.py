@@ -124,10 +124,6 @@ def equivariant_transport(W: WeylGroup, w, op: DunklOperator) -> DunklOperator:
     return DunklOperator(W, op.c, mat_vec(w, op.direction))
 
 
-def dunkl_apply(op: DunklOperator, f: Polynomial) -> Polynomial:
-    return op(f)
-
-
 def check_commutativity(W: WeylGroup, c, samples: Sequence,
                         y1: Sequence, y2: Sequence) -> bool:
     """True iff the two operators commute on every sample."""

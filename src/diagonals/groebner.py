@@ -40,12 +40,7 @@ from .polyring import (
     QQ,
     RingContextError,
     ZERO,
-    count_monomials,
-    from_string,
     monomials_of_degree,
-    order_from_json,
-    order_to_json,
-    to_string,
 )
 
 # ---------------------------------------------------------------------------
@@ -362,15 +357,6 @@ def _g_to_poly(g: list, nvars: int) -> Polynomial:
     return Polynomial(nvars, {m: QQ(c, lead) for _, m, c in g})
 
 
-def buchberger(gens, order: MonomialOrder = GREVLEX,
-               budget: Budget | None = None) -> list:
-    """Reduced monic basis, ascending by leading monomial."""
-    gens = [g for g in gens if g]
-    if not gens:
-        return []
-    return list(Ideal(gens, order, budget=budget).groebner_basis())
-
-
 # ---------------------------------------------------------------------------
 # ideals
 # ---------------------------------------------------------------------------
@@ -402,7 +388,6 @@ class Ideal:
         self.budget = budget
         self._gb: tuple | None = None
         self._gbg: list | None = None
-        self._lead_cache: dict = {}
 
     # -- basis -------------------------------------------------------------
 
@@ -438,14 +423,11 @@ class Ideal:
             raise RingContextError("polynomial in a different ring")
         if not f:
             return f
-        keyf = self.order.key
-        den = 1
-        for c in f.terms.values():
-            den = math.lcm(den, int(c.denominator))
-        terms = sorted(((keyf(m), m, int(c * den)) for m, c in f.terms.items()),
-                       reverse=True)
-        nf = _g_nf(terms, self._core())
-        return Polynomial(self.nvars, {m: c / den for m, c in nf.items()})
+        g = _to_g(f.terms, self.order.key)
+        # _to_g rescales f to a primitive integer gpoly; undo that factor
+        scale = f.terms[g[0][1]] / g[0][2]
+        nf = _g_nf(g, self._core())
+        return Polynomial(self.nvars, {m: c * scale for m, c in nf.items()})
 
     def contains(self, f: Polynomial) -> bool:
         if f.nvars != self.nvars:
@@ -490,32 +472,10 @@ class Ideal:
     def __repr__(self):
         return f"Ideal({len(self.gens)} gens, {self.nvars} vars, {self.order.name})"
 
-    def to_json(self) -> dict:
-        out = {
-            "nvars": self.nvars,
-            "order": order_to_json(self.order),
-            "gens": [to_string(g) for g in self.gens],
-        }
-        if self.generated_up_to is not None:
-            out["generated_up_to"] = self.generated_up_to
-        return out
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "Ideal":
-        nvars = obj["nvars"]
-        gens = [from_string(s, nvars) for s in obj["gens"]]
-        return cls(gens, order_from_json(obj["order"]), nvars=nvars,
-                   generated_up_to=obj.get("generated_up_to"))
-
 
 # ---------------------------------------------------------------------------
 # ideal operations
 # ---------------------------------------------------------------------------
-
-
-def ideal_sum(I: Ideal, J: Ideal) -> Ideal:
-    _same_ring(I, J)
-    return Ideal(I.gens + J.gens, I.order, nvars=I.nvars, budget=I.budget)
 
 
 def ideal_product(I: Ideal, J: Ideal) -> Ideal:
@@ -604,36 +564,6 @@ def _same_ring(I: Ideal, J: Ideal) -> None:
         raise RingContextError("ideals live in different rings")
 
 
-# ---------------------------------------------------------------------------
-# graded reports
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class GradedReport:
-    """Graded dimensions of an ideal piece by piece."""
-
-    degrees: tuple
-    dims: tuple
-    ambient: tuple
-
-    def to_json(self) -> dict:
-        return {
-            "degrees": list(self.degrees),
-            "dims": list(self.dims),
-            "ambient": list(self.ambient),
-        }
-
-
-def graded_report(I: Ideal, max_degree: int) -> GradedReport:
-    degs = tuple(range(max_degree + 1))
-    return GradedReport(
-        degrees=degs,
-        dims=tuple(I.graded_dim(d) for d in degs),
-        ambient=tuple(count_monomials(I.nvars, d) for d in degs),
-    )
-
-
 def minimal_generator_counts(I: Ideal, max_degree: int,
                              budget: Budget | None = None) -> dict:
     """Number of minimal generators of I in each degree through max_degree.
@@ -711,10 +641,9 @@ def nf_monomial_table(I: Ideal, d: int) -> dict:
     return table
 
 
-def graded_basis(I: Ideal, d: int, table: dict | None = None) -> list:
+def graded_basis(I: Ideal, d: int) -> list:
     """Triangular basis of the ideal's degree-d piece: w - NF(w) per lead w."""
-    if table is None:
-        table = nf_monomial_table(I, d)
+    table = nf_monomial_table(I, d)
     out = []
     for w in I.leading_monomials_of_degree(d):
         row = dict(table[w])

@@ -7,7 +7,7 @@ where it matters and exact everywhere.
 
 from __future__ import annotations
 
-from typing import Callable, Hashable, Iterable, Sequence
+from typing import Hashable, Sequence
 
 from .polyring import ONE, QQ, ZERO
 
@@ -135,10 +135,3 @@ class RowEchelon:
 
     def contains(self, row: dict) -> bool:
         return not self.reduce(row)
-
-
-def rank_of_rows(rows: Iterable[dict]) -> int:
-    ech = RowEchelon()
-    for row in rows:
-        ech.add(row)
-    return ech.rank

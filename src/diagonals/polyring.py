@@ -20,6 +20,7 @@ term.
 from __future__ import annotations
 
 import math
+import random
 import re
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
@@ -33,11 +34,6 @@ Monomial = tuple
 
 ZERO = QQ(0)
 ONE = QQ(1)
-
-
-def rational(value) -> "QQ":
-    """Coerce ints, 'p/q' strings, or rationals to the coefficient type."""
-    return QQ(value)
 
 
 class RingContextError(ValueError):
@@ -120,47 +116,8 @@ class EliminationOrder(MonomialOrder):
         return tuple(out)
 
 
-@dataclass(frozen=True)
-class WeightedGrevLex(MonomialOrder):
-    """Weight vector first, grevlex tiebreak."""
-
-    weights: tuple
-
-    name = "wgrevlex"
-
-    def key(self, mono: Monomial) -> tuple:
-        w = self.weights
-        out = [sum(wi * e for wi, e in zip(w, mono)), sum(mono)]
-        out.extend(-e for e in reversed(mono))
-        return tuple(out)
-
-
 GREVLEX = GrevLex()
 LEX = Lex()
-
-
-def order_to_json(order: MonomialOrder):
-    if isinstance(order, GrevLex):
-        return "grevlex"
-    if isinstance(order, Lex):
-        return "lex"
-    if isinstance(order, EliminationOrder):
-        return {"elim": sorted(order.eliminated)}
-    if isinstance(order, WeightedGrevLex):
-        return {"wgrevlex": list(order.weights)}
-    raise ValueError(f"unknown order {order!r}")
-
-
-def order_from_json(obj) -> MonomialOrder:
-    if obj == "grevlex":
-        return GREVLEX
-    if obj == "lex":
-        return LEX
-    if isinstance(obj, dict) and "elim" in obj:
-        return EliminationOrder(frozenset(obj["elim"]))
-    if isinstance(obj, dict) and "wgrevlex" in obj:
-        return WeightedGrevLex(tuple(obj["wgrevlex"]))
-    raise ValueError(f"unknown order name {obj!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -658,6 +615,24 @@ def monomials_of_bidegree(n: int, a: int, b: int) -> Iterator[Monomial]:
     for mx in monomials_of_degree(n, a):
         for my in monomials_of_degree(n, b):
             yield mx + my
+
+
+# ---------------------------------------------------------------------------
+# seeded samples
+# ---------------------------------------------------------------------------
+
+
+def random_polynomial(rng: random.Random, nvars: int, max_deg: int,
+                      max_terms: int) -> Polynomial:
+    """Seeded sample: up to max_terms terms of degree at most max_deg with
+    integer coefficients in [-9, 9], drawn from rng in a fixed order."""
+    terms: dict = {}
+    for _ in range(rng.randint(1, max_terms)):
+        mono = [0] * nvars
+        for _ in range(rng.randint(0, max_deg)):
+            mono[rng.randrange(nvars)] += 1
+        terms[tuple(mono)] = QQ(rng.randint(-9, 9))
+    return Polynomial(nvars, terms)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
-from .linalg import Matrix, block_diag, identity, mat, mat_det, mat_inv, mat_mul
+from .linalg import Matrix, block_diag, identity, mat_det, mat_inv, mat_mul
 from .polyring import LinearSubstitution, ONE, Polynomial, QQ, RingContextError, ZERO
 
 MAX_GROUP = 10_000

@@ -2,12 +2,9 @@
 
 from __future__ import annotations
 
-import random
-
 from hypothesis import strategies as st
 
 from diagonals.polyring import (
-    GREVLEX,
     Polynomial,
     QQ,
     monomials_of_degree,
@@ -51,25 +48,6 @@ def homogeneous_polynomials(nvars: int, degree: int, max_terms: int = 6):
 
 def random_points(nvars: int):
     return st.tuples(*(rationals(8, 5) for _ in range(nvars)))
-
-
-def seeded_random_poly(rng: random.Random, nvars: int, max_deg: int,
-                       max_terms: int) -> Polynomial:
-    terms = {}
-    for _ in range(rng.randint(1, max_terms)):
-        mono = [0] * nvars
-        for _ in range(rng.randint(0, max_deg)):
-            mono[rng.randrange(nvars)] += 1
-        terms[tuple(mono)] = QQ(rng.randint(-9, 9))
-    return Polynomial(nvars, terms)
-
-
-def seeded_x_block_poly(rng: random.Random, ambient: int, max_deg: int,
-                        max_terms: int) -> Polynomial:
-    """Random polynomial in the x-block of the doubled ring."""
-    base = seeded_random_poly(rng, ambient, max_deg, max_terms)
-    lifted = {mono + (0,) * ambient: c for mono, c in base.terms.items()}
-    return Polynomial(2 * ambient, lifted)
 
 
 def span_membership(f: Polynomial, gens: list[Polynomial]) -> bool:

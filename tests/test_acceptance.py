@@ -35,6 +35,7 @@ from diagonals.dunkl import (
 )
 from diagonals.groebner import (
     Ideal,
+    _extend,
     ideal_equal,
     ideal_intersect,
     ideal_power,
@@ -46,11 +47,11 @@ from diagonals.polyring import (
     Polynomial,
     monomials_of_degree,
     partial_derivative,
+    random_polynomial,
 )
 from diagonals.weyl import WeylGroup, root_system
 
 from support import (
-    seeded_x_block_poly,
     span_graded_dim,
     span_membership,
 )
@@ -191,7 +192,7 @@ def test_07_dunkl_operators_commute_and_satisfy_relation():
             ops = coordinate_operators(W, c)
             rng = random.Random(f"acceptance:{family}{rank}:{c}")
             for _ in range(per_cell):
-                f = seeded_x_block_poly(rng, n, 3, 4)
+                f = _extend(random_polynomial(rng, n, 3, 4), n)
                 images = [op(f) for op in ops]
                 for i in range(n):
                     for j in range(i + 1, n):

@@ -3,7 +3,8 @@ from pathlib import Path
 
 import pytest
 
-from diagonals import cli
+from diagonals import cli, dunkl
+from diagonals.polyring import random_polynomial, to_string
 
 FIXTURE = Path(__file__).parent / "fixtures" / "cells_table_n3.tsv"
 
@@ -86,6 +87,15 @@ class TestVerify:
         assert cmp["relation"] == "inconclusive"
         assert cmp["dimsLeft"] == cmp["dimsRight"]
 
+    def test_dunkl_target_uses_library_check(self, capsys, monkeypatch):
+        # a wrong closed form must reach the target through
+        # check_defining_relation, not through a copy held by cli
+        monkeypatch.setattr(dunkl, "commutation_rhs",
+                            lambda W, c, v, xi, f: f + 1)
+        code, out = run(capsys, ["verify", "dunkl", "--samples", "1"])
+        assert code == 1
+        assert out.startswith("FAIL dunkl")
+
     def test_deterministic_output(self, capsys):
         _, first = run(capsys, ["verify", "dunkl", "--samples", "2",
                                 "--format", "json"])
@@ -98,6 +108,25 @@ class TestVerify:
                                  "--timings"])
         assert code == 0
         assert "seconds" in json.loads(out)
+
+
+class TestSampleStream:
+    """The first seeded samples of two targets, pinned: a changed draw
+    order shows up here even when every verdict stays PASS."""
+
+    def test_delta_identity_samples(self):
+        rng = cli._rng(0, "delta:G2")
+        assert [to_string(random_polynomial(rng, 6, 3, 4))
+                for _ in range(2)] == ["-7*x2*y2 - 4",
+                                       "-5*x2*y2^2 + 3*y1*y2^2"]
+
+    def test_dunkl_samples(self):
+        rng = cli._rng(0, "dunkl:A2:1/2")
+        drawn = [cli._dunkl_sample(rng, 3) for _ in range(2)]
+        assert [(to_string(f), v, xi) for f, v, xi in drawn] == [
+            ("-6*x1*x2^2*x3 + 6*x2 + 6", (2, 1, -1), (-2, 2, 2)),
+            ("9*x1^2*x3^2 + 6*x1^2*x3", (2, -2, 2), (0, -1, 1)),
+        ]
 
 
 class TestExitCodes:

@@ -29,19 +29,18 @@ from diagonals.groebner import (
     ideal_power,
     nf_monomial_table,
 )
-from diagonals.linalg import RowEchelon, mat_det, mat_inv, rank_of_rows, transpose
+from diagonals.linalg import RowEchelon, mat_det, mat_inv, transpose
 from diagonals.polyring import (
     ONE,
     Polynomial,
     QQ,
     ZERO,
     monomials_of_bidegree,
+    random_polynomial,
     to_string,
     variables,
 )
 from diagonals.weyl import WeylGroup, root_system
-
-from support import seeded_random_poly
 
 
 def alternant_dim_oracle(W, a, b):
@@ -241,7 +240,7 @@ class TestAveragedImages:
             delta = discriminant(rs)
             rng = random.Random(31)
             for _ in range(5):
-                f = seeded_random_poly(rng, 2 * rs.ambient, 3, 4)
+                f = random_polynomial(rng, 2 * rs.ambient, 3, 4)
                 assert W.symmetrize(delta * f) == delta * W.antisymmetrize(f)
 
     def test_signed_image_of_I_equals_alternant_dimension(self):
@@ -278,11 +277,14 @@ class TestAveragedImages:
             basis = graded_basis(X, d)
             for signed in (False, True):
                 average = W.antisymmetrize if signed else W.symmetrize
-                full = rank_of_rows(dict(average(b).terms) for b in basis)
-                assert invariant_image_dim(W, X, d, signed) == full
-            full = rank_of_rows(dict(W.symmetrize(delta * b).terms)
-                                for b in basis)
-            assert averaged_multiple_dim(W, delta, X, d) == full
+                full = RowEchelon()
+                for b in basis:
+                    full.add(dict(average(b).terms))
+                assert invariant_image_dim(W, X, d, signed) == full.rank
+            full = RowEchelon()
+            for b in basis:
+                full.add(dict(W.symmetrize(delta * b).terms))
+            assert averaged_multiple_dim(W, delta, X, d) == full.rank
 
     def test_full_ring_ideal_basis(self):
         A = full_ring_ideal(4)

@@ -9,7 +9,6 @@ from diagonals.dunkl import (
     commutation_rhs,
     commutative_shadow,
     coordinate_operators,
-    dunkl_apply,
     equivariant_transport,
     multiplication_commutator,
     r1_apply,
@@ -23,10 +22,15 @@ from diagonals.dunkl import (
     r1_top_identity_coefficient,
     r1_word,
 )
-from diagonals.polyring import ONE, Polynomial, QQ, partial_derivative
+from diagonals.groebner import _extend
+from diagonals.polyring import (
+    ONE,
+    Polynomial,
+    QQ,
+    partial_derivative,
+    random_polynomial,
+)
 from diagonals.weyl import WeylGroup, root_system
-
-from support import seeded_x_block_poly
 
 C_SAMPLES = [QQ(0), QQ(1, 2), QQ(1), QQ(3, 7)]
 
@@ -70,7 +74,7 @@ class TestZeroParameter:
         for _ in range(10):
             v = tuple(rng.randint(-3, 3) for _ in range(n))
             D = DunklOperator(W, 0, v)
-            f = seeded_x_block_poly(rng, n, 5, 6)
+            f = _extend(random_polynomial(rng, n, 5, 6), n)
             assert D(f) == partial_derivative(f, v + (0,) * n)
 
 
@@ -83,7 +87,7 @@ class TestCommutativity:
         ops = coordinate_operators(W, c)
         rng = random.Random(602)
         for _ in range(4):
-            f = seeded_x_block_poly(rng, n, 4, 4)
+            f = _extend(random_polynomial(rng, n, 4, 4), n)
             for i in range(n):
                 for j in range(i + 1, n):
                     assert ops[i](ops[j](f)) == ops[j](ops[i](f))
@@ -100,7 +104,7 @@ class TestCommutationRelation:
             v = tuple(rng.randint(-2, 2) for _ in range(n))
             xi = tuple(rng.randint(-2, 2) for _ in range(n))
             D = DunklOperator(W, c, v)
-            f = seeded_x_block_poly(rng, n, 4, 4)
+            f = _extend(random_polynomial(rng, n, 4, 4), n)
             lhs = multiplication_commutator(D, xi, f)
             assert lhs == commutation_rhs(W, c, v, xi, f)
 
@@ -117,7 +121,7 @@ class TestEquivariance:
             v = tuple(rng.randint(-2, 2) for _ in range(n))
             D = DunklOperator(W, QQ(3, 7), v)
             Dw = equivariant_transport(W, w, D)
-            f = seeded_x_block_poly(rng, n, 4, 4)
+            f = _extend(random_polynomial(rng, n, 4, 4), n)
             assert W.act(w, D(f)) == Dw(W.act(w, f))
 
 
@@ -127,7 +131,7 @@ class TestShape:
         D = DunklOperator(W, QQ(1), (1, -2))
         rng = random.Random(605)
         for _ in range(8):
-            f = seeded_x_block_poly(rng, 2, 5, 3)
+            f = _extend(random_polynomial(rng, 2, 5, 3), 2)
             for piece in f.homogeneous_components().values():
                 out = D(piece)
                 if out:
@@ -138,8 +142,8 @@ class TestShape:
         W = group("A2")
         D = DunklOperator(W, QQ(1, 2), (1, 1, -1))
         rng = random.Random(606)
-        f = seeded_x_block_poly(rng, 3, 4, 4)
-        g = seeded_x_block_poly(rng, 3, 4, 4)
+        f = _extend(random_polynomial(rng, 3, 4, 4), 3)
+        g = _extend(random_polynomial(rng, 3, 4, 4), 3)
         assert D(3 * f - QQ(1, 2) * g) == 3 * D(f) - QQ(1, 2) * D(g)
 
     def test_rejects_y_block_input(self):
@@ -151,9 +155,8 @@ class TestShape:
     def test_check_helpers(self):
         W = group("B2")
         rng = random.Random(607)
-        samples = [seeded_x_block_poly(rng, 2, 4, 4) for _ in range(5)]
-        D = DunklOperator(W, QQ(1, 2), (1, 0))
-        assert dunkl_apply(D, samples[0]) == D(samples[0])
+        samples = [_extend(random_polynomial(rng, 2, 4, 4), 2)
+                   for _ in range(5)]
         assert check_commutativity(W, QQ(1, 2), samples, (1, 0), (0, 1))
         assert check_defining_relation(W, QQ(3, 7), (1, -1), (0, 1), samples)
 

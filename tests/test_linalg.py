@@ -10,7 +10,6 @@ from diagonals.linalg import (
     mat_inv,
     mat_mul,
     mat_vec,
-    rank_of_rows,
     transpose,
 )
 from diagonals.polyring import QQ
@@ -56,8 +55,10 @@ class TestDense:
 
 class TestRowEchelon:
     def test_rank_basic(self):
-        rows = [{0: QQ(1), 1: QQ(2)}, {0: QQ(2), 1: QQ(4)}, {1: QQ(1)}]
-        assert rank_of_rows(rows) == 2
+        ech = RowEchelon()
+        for row in ({0: QQ(1), 1: QQ(2)}, {0: QQ(2), 1: QQ(4)}, {1: QQ(1)}):
+            ech.add(row)
+        assert ech.rank == 2
 
     def test_contains(self):
         ech = RowEchelon()
@@ -78,5 +79,7 @@ class TestRowEchelon:
     def test_rank_bounded(self, rows):
         clean = [{k: v for k, v in r.items() if v} for r in rows]
         clean = [r for r in clean if r]
-        r = rank_of_rows(clean)
-        assert 0 <= r <= min(len(clean), 6)
+        ech = RowEchelon()
+        for row in clean:
+            ech.add(row)
+        assert 0 <= ech.rank <= min(len(clean), 6)

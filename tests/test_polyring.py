@@ -9,12 +9,10 @@ from diagonals.polyring import (
     LEX,
     EliminationOrder,
     ExactDivisionError,
-    GrevLex,
     LinearSubstitution,
     Polynomial,
     QQ,
     RingContextError,
-    WeightedGrevLex,
     apply_linear_change,
     count_monomials,
     default_names,
@@ -22,8 +20,6 @@ from diagonals.polyring import (
     from_string,
     monomials_of_bidegree,
     monomials_of_degree,
-    order_from_json,
-    order_to_json,
     partial_derivative,
     to_string,
     variables,
@@ -103,14 +99,9 @@ class TestOrders:
         # any positive power of the eliminated variable dominates
         assert order.key((0, 0, 1)) > order.key((9, 9, 0))
 
-    def test_weighted(self):
-        order = WeightedGrevLex((1, 3))
-        assert order.key((0, 1)) > order.key((2, 0))
-
     @given(monomials(4), monomials(4), monomials(4))
     def test_keys_additive_and_multiplicative(self, u, v, w):
-        for order in (GREVLEX, LEX, EliminationOrder(frozenset({1, 3})),
-                      WeightedGrevLex((2, 1, 1, 3))):
+        for order in (GREVLEX, LEX, EliminationOrder(frozenset({1, 3}))):
             ku = order.key(u)
             kv = order.key(v)
             kuw = order.key(tuple(a + b for a, b in zip(u, w)))
@@ -125,19 +116,6 @@ class TestOrders:
         assert f.leading_monomial(GREVLEX) == (0, 0, 2, 0)
         assert f.leading_monomial(LEX) == (1, 0, 0, 1)
         assert f.monic(GREVLEX).leading_coefficient(GREVLEX) == 1
-
-    def test_order_json_roundtrip(self):
-        probes = {
-            GrevLex: (3, 1, 0, 0, 2),
-            type(LEX): (3, 1, 0, 0, 2),
-            EliminationOrder: (3, 1, 0, 0, 2),
-            WeightedGrevLex: (3, 1),
-        }
-        for order in (GREVLEX, LEX, EliminationOrder(frozenset({4})),
-                      WeightedGrevLex((1, 2))):
-            back = order_from_json(order_to_json(order))
-            probe = probes[type(order)]
-            assert back.key(probe) == order.key(probe)
 
 
 class TestSubstitution:

@@ -3,10 +3,15 @@ import random
 import pytest
 
 from diagonals.linalg import identity, mat, mat_mul
-from diagonals.polyring import Polynomial, QQ, from_string, to_string, variables
+from diagonals.polyring import (
+    Polynomial,
+    QQ,
+    from_string,
+    random_polynomial,
+    to_string,
+    variables,
+)
 from diagonals.weyl import RootSystem, WeylGroup, root_system
-
-from support import seeded_random_poly
 
 
 def test_group_orders():
@@ -87,7 +92,7 @@ def test_left_action_law():
         W = WeylGroup(root_system(name))
         n = W.ambient
         rng = random.Random(5)
-        f = seeded_random_poly(rng, 2 * n, 3, 4)
+        f = random_polynomial(rng, 2 * n, 3, 4)
         for u in W.elements[:5]:
             for w in W.elements[5:9]:
                 assert W.act(u, W.act(w, f)) == W.act(mat_mul(u, w), f)
@@ -96,8 +101,8 @@ def test_left_action_law():
 def test_action_is_ring_homomorphism():
     W = WeylGroup(root_system("G2"))
     rng = random.Random(11)
-    f = seeded_random_poly(rng, 6, 2, 3)
-    g = seeded_random_poly(rng, 6, 2, 3)
+    f = random_polynomial(rng, 6, 2, 3)
+    g = random_polynomial(rng, 6, 2, 3)
     for w in W.elements:
         assert W.act(w, f * g) == W.act(w, f) * W.act(w, g)
         assert W.act(w, f + g) == W.act(w, f) + W.act(w, g)
@@ -130,7 +135,7 @@ def test_averages_are_projections():
         W = WeylGroup(root_system(name))
         n = W.ambient
         rng = random.Random(3)
-        f = seeded_random_poly(rng, 2 * n, 3, 4)
+        f = random_polynomial(rng, 2 * n, 3, 4)
         e = W.symmetrize(f)
         em = W.antisymmetrize(f)
         assert W.symmetrize(e) == e
@@ -147,7 +152,7 @@ def test_average_matches_naive_sum():
         W = WeylGroup(root_system(name))
         n = W.ambient
         rng = random.Random(9)
-        f = seeded_random_poly(rng, 2 * n, 3, 4)
+        f = random_polynomial(rng, 2 * n, 3, 4)
         naive_sym = Polynomial.zero(2 * n)
         naive_alt = Polynomial.zero(2 * n)
         for w in W.elements:
