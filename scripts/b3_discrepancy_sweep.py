@@ -15,17 +15,13 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from diagonals.diagideals import compare, ideal_I, ideal_J, primitive_part  # noqa: E402
 from diagonals.groebner import graded_basis, minimal_generator_counts  # noqa: E402
-from diagonals.linalg import RowEchelon  # noqa: E402
 from diagonals.weyl import WeylGroup, root_system  # noqa: E402
 
 
 def witness(I, J, degree: int):
-    """A degree-d element of I independent of J_d, reduced to primitive form."""
-    ech = RowEchelon()
-    for b in graded_basis(J, degree):
-        ech.add(dict(b.terms))
+    """The first element of I's degree-d basis outside J, in primitive form."""
     for b in graded_basis(I, degree):
-        if ech.add(dict(b.terms)):
+        if not J.contains(b):
             return primitive_part(b)
     return None
 
@@ -39,7 +35,7 @@ def main() -> int:
     rs = root_system("B", 3)
     W = WeylGroup(rs)
     I = ideal_I(rs)
-    J = ideal_J(W, args.degree_bound)
+    J = ideal_J(W, I, args.degree_bound)
 
     print("deg  dim J_d  dim I_d  gap")
     for d in range(args.degree_bound + 1):

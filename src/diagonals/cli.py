@@ -94,7 +94,8 @@ def _flag_inconclusive(result: dict, cmp) -> dict:
 def _build_both(name: str, bound: int, budget: Budget):
     rs = root_system(name)
     W = WeylGroup(rs)
-    return W, ideal_I(rs, budget=budget), ideal_J(W, bound, budget=budget)
+    I = ideal_I(rs, budget=budget)
+    return W, I, ideal_J(W, I, bound, budget=budget)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,8 @@ package:
   I        = intersection of all pair ideals,
   I^(d)    = intersection of their d-th powers,
   J        = ideal generated by all alternating polynomials up to a
-             chosen total degree (recorded as generated_up_to).
+             chosen total degree (recorded as generated_up_to), given
+             by a minimal set of them.
 
 Alternating polynomials lie in every P_alpha: an alternating f changes
 sign under s_alpha yet is fixed on the subspace s_alpha fixes, so it
@@ -27,6 +28,7 @@ from .groebner import (
     Ideal,
     graded_basis,
     intersect_many,
+    minimal_generators,
 )
 from .linalg import RowEchelon
 from .polyring import (
@@ -190,24 +192,19 @@ def alternant_basis(W: WeylGroup, a: int, b: int) -> list:
     return out
 
 
-def alternant_generators(W: WeylGroup, max_degree: int) -> list:
-    """All alternating-basis elements of total degree <= max_degree."""
-    out = []
-    for d in range(max_degree + 1):
-        for a in range(d, -1, -1):
-            out.extend(alternant_basis(W, a, d - a))
-    return out
-
-
-def ideal_J(W: WeylGroup, max_degree: int,
+def ideal_J(W: WeylGroup, I: Ideal, max_degree: int,
             budget: Budget | None = None) -> Ideal:
-    """Ideal generated by every alternant of total degree <= max_degree.
+    """Ideal generated by the alternants of total degree <= max_degree.
 
-    The generator list is complete only up to that degree, which the
-    resulting ideal records in generated_up_to; statements about higher
-    degrees need the comparison layer's explicit bound bookkeeping.
+    Its generators are a minimal set of alternants, picked degree by degree
+    against the intersection ideal I, which holds them all (see
+    minimal_generators).  They are complete only up to max_degree, which
+    the ideal records in generated_up_to.
     """
-    gens = alternant_generators(W, max_degree)
+    gens = minimal_generators(
+        lambda d: [g for a in range(d, -1, -1)
+                   for g in alternant_basis(W, a, d - a)],
+        I, max_degree, budget)
     return Ideal(gens, nvars=2 * W.ambient,
                  generated_up_to=max_degree, budget=budget)
 

@@ -27,9 +27,10 @@ import itertools
 import math
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import add, sub
 
+from .linalg import RowEchelon
 from .polyring import (
     GREVLEX,
     EliminationOrder,
@@ -50,10 +51,12 @@ from .polyring import (
 
 @dataclass
 class Budget:
-    """Wall-clock and basis-size ceiling for a single basis computation."""
+    """Wall-clock ceiling from the budget's creation, shared by every basis
+    computation that holds it, and a basis-size ceiling for each one."""
 
     max_seconds: float = 1800.0
     max_basis: int = 4000
+    started: float = field(init=False, default_factory=time.monotonic)
 
     @classmethod
     def from_env(cls) -> "Budget":
@@ -65,8 +68,12 @@ class Budget:
             max_basis=_positive_env("DIAGONALS_MAX_BASIS", int, cls.max_basis),
         )
 
-    def deadline(self) -> float:
-        return time.monotonic() + self.max_seconds
+    def check(self, layer: str, basis_size: int) -> None:
+        """Raise BudgetExceeded, naming layer, once max_seconds have passed
+        since the budget was created."""
+        elapsed = time.monotonic() - self.started
+        if elapsed > self.max_seconds:
+            raise BudgetExceeded(f"time limit in {layer}", elapsed, basis_size)
 
 
 def _positive_env(name: str, kind, default):
@@ -168,15 +175,14 @@ def _combine(a: int, f: list, fstart: int, h: list) -> list:
 
 
 def _g_nf(fg: list, basis: list, member_only: bool = False,
-          deadline: float | None = None, t0: float | None = None):
+          budget: Budget | None = None):
     """Full normal form of a gpoly against a list of gpolys.
 
     Returns a dict mono -> QQ giving the exact normal form of the input
     (interpreted with integer coefficients as given).  With member_only,
     returns None at the first irreducible term instead (the input is then
-    certainly not in the ideal) and {} when it reduces to zero.  Passing
-    deadline with the computation's start time t0 aborts with
-    BudgetExceeded once the deadline is past.
+    certainly not in the ideal) and {} when it reduces to zero.  A budget,
+    when given, is checked every 256 steps.
     """
     work = fg
     pos = 0
@@ -185,9 +191,8 @@ def _g_nf(fg: list, basis: list, member_only: bool = False,
     steps = 0
     while pos < len(work):
         steps += 1
-        if deadline is not None and not steps % 256 and time.monotonic() > deadline:
-            raise BudgetExceeded("time limit in reduction",
-                                  time.monotonic() - t0, len(basis))
+        if budget is not None and not steps % 256:
+            budget.check("reduction", len(basis))
         k, m, c = work[pos]
         red = None
         for g in basis:
@@ -289,8 +294,6 @@ def _update_pairs(leads, sugars, alive, lcm_of, heap, t, keyf):
 
 def _buchberger_core(ggens: list, keyf, budget: Budget) -> list:
     """Reduced basis as primitive gpolys sorted ascending by lead key."""
-    t0 = time.monotonic()
-    deadline = t0 + budget.max_seconds
     basis: list = []
     leads: list = []
     sugars: list = []
@@ -306,7 +309,7 @@ def _buchberger_core(ggens: list, keyf, budget: Budget) -> list:
                       keyf)
 
     for g in sorted((g for g in ggens if g), key=lambda p: (p[0][0], p)):
-        nf = _g_nf(g, basis, deadline=deadline, t0=t0)
+        nf = _g_nf(g, basis, budget=budget)
         gg = _to_g(nf, keyf)
         if gg:
             insert(gg, max(sum(m) for _, m, _ in g))
@@ -319,15 +322,15 @@ def _buchberger_core(ggens: list, keyf, budget: Budget) -> list:
         alive.discard((i, j))
         del lcm_of[(i, j)]
         pops += 1
-        if not pops % 16 and time.monotonic() > deadline:
-            raise BudgetExceeded("time limit", time.monotonic() - t0, len(basis))
+        if not pops % 16:
+            budget.check("pair loop", len(basis))
         if len(basis) > budget.max_basis:
-            raise BudgetExceeded("basis size limit", time.monotonic() - t0,
-                                 len(basis))
+            raise BudgetExceeded("basis size limit",
+                                 time.monotonic() - budget.started, len(basis))
         s = _g_spoly(basis[i], basis[j], keyf)
         if not s:
             continue
-        nf = _g_nf(s, basis, deadline=deadline, t0=t0)
+        nf = _g_nf(s, basis, budget=budget)
         gg = _to_g(nf, keyf)
         if gg:
             insert(gg, sugar)
@@ -345,7 +348,7 @@ def _buchberger_core(ggens: list, keyf, budget: Budget) -> list:
     reduced: list = []
     for pos, g in enumerate(minimal):
         others = reduced + minimal[pos + 1:]
-        nf = _g_nf(g, others, deadline=deadline, t0=t0)
+        nf = _g_nf(g, others, budget=budget)
         reduced.append(_to_g(nf, keyf))
     return reduced
 
@@ -444,20 +447,7 @@ class Ideal:
 
     def graded_dim(self, d: int) -> int:
         """Dimension of the ideal's degree-d graded piece."""
-        if d < 0:
-            return 0
-        leads = self.leading_monomials()
-        if not leads:
-            return 0
-        n = 0
-        for m in monomials_of_degree(self.nvars, d):
-            for l in leads:
-                if sum(l) > d:
-                    continue
-                if _divides(l, m):
-                    n += 1
-                    break
-        return n
+        return len(self.leading_monomials_of_degree(d))
 
     def leading_monomials_of_degree(self, d: int) -> list:
         leads = [l for l in self.leading_monomials() if sum(l) <= d]
@@ -564,40 +554,46 @@ def _same_ring(I: Ideal, J: Ideal) -> None:
         raise RingContextError("ideals live in different rings")
 
 
+def minimal_generators(candidates, full: Ideal, max_degree: int,
+                       budget: Budget | None = None) -> list:
+    """Minimal generators through max_degree of the ideal generated by the
+    candidates, picked degree by degree.
+
+    candidates(d) lists homogeneous elements of degree d of the ideal full.
+    With P the ideal of the generators kept so far, degree d is skipped
+    when dim P_d = dim full_d: then P_d = full_d already holds every
+    candidate.  Otherwise a candidate is kept when its normal form against
+    P is independent of those of the candidates kept before it in degree
+    d.  The budget is checked once per degree.
+    """
+    budget = budget or full.budget or Budget.from_env()
+    kept: list = []
+    P = Ideal(kept, full.order, nvars=full.nvars, budget=budget)
+    for d in range(max_degree + 1):
+        budget.check("minimal generators", len(kept))
+        if P.graded_dim(d) == full.graded_dim(d):
+            continue
+        ech = RowEchelon()
+        found = [f for f in candidates(d) if ech.add(P.normal_form(f).terms)]
+        if found:
+            kept += found
+            P = Ideal(kept, full.order, nvars=full.nvars, budget=budget)
+    return kept
+
+
 def minimal_generator_counts(I: Ideal, max_degree: int,
                              budget: Budget | None = None) -> dict:
-    """Number of minimal generators of I in each degree through max_degree.
-
-    Degree-by-degree: the count in degree d is dim I_d minus the dimension
-    of the degree-d piece generated by the generators found so far (that
-    piece equals R_1 * I_{d-1} once lower degrees are fully covered, which
-    the construction guarantees).  Requires homogeneous generators.
-    """
+    """Number of minimal generators of I in each degree through max_degree,
+    drawn from I's reduced basis.  Requires homogeneous generators."""
     for g in I.gens:
         if not g.is_homogeneous():
             raise ValueError("minimal generator counts need homogeneous gens")
-    budget = budget or I.budget or Budget.from_env()
-    counts: dict[int, int] = {}
-    partial: list = []
-    for d in range(max_degree + 1):
-        lt_full = set(I.leading_monomials_of_degree(d))
-        if partial:
-            partial_ideal = Ideal(list(partial), I.order, nvars=I.nvars,
-                                  budget=budget)
-            lt_part = set(partial_ideal.leading_monomials_of_degree(d))
-        else:
-            lt_part = set()
-        missing = sorted(lt_full - lt_part, key=I.order.key)
-        counts[d] = len(missing)
-        for w in missing:
-            mono = Polynomial(I.nvars, {w: 1})
-            partial.append(mono - I.normal_form(mono))
-        if partial and missing:
-            # keep the partial list short: swap in its reduced basis
-            partial_ideal = Ideal(list(partial), I.order, nvars=I.nvars,
-                                  budget=budget)
-            partial = list(partial_ideal.groebner_basis())
-    return counts
+    basis = I.groebner_basis()
+    gens = minimal_generators(
+        lambda d: [g for g in basis if g.total_degree() == d],
+        I, max_degree, budget)
+    degrees = [g.total_degree() for g in gens]
+    return {d: degrees.count(d) for d in range(max_degree + 1)}
 
 
 def nf_monomial_table(I: Ideal, d: int) -> dict:

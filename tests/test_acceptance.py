@@ -68,7 +68,8 @@ def _report(label: str, ok: bool) -> None:
 def _build(family: str, rank: int, bound: int = BOUND):
     rs = root_system(family, rank)
     W = WeylGroup(rs)
-    return rs, W, ideal_I(rs), ideal_J(W, bound)
+    I = ideal_I(rs)
+    return rs, W, I, ideal_J(W, I, bound)
 
 
 @pytest.fixture(scope="session")
@@ -169,7 +170,7 @@ def test_06_a1_powers_collapse():
     rs = root_system("A", 1)
     W = WeylGroup(rs)
     I = ideal_I(rs)
-    J = ideal_J(W, 6)
+    J = ideal_J(W, I, 6)
     ok = True
     for k in (1, 2, 3):
         pk = ideal_power(I, k)

@@ -16,13 +16,11 @@ from diagonals.cells import (
     format_bipartition,
     format_partition,
     format_symbol,
-    group_by_heart,
     j_classes,
     j_heart,
     partitions,
     strip_removable,
     symbol_of,
-    symbol_entries,
     table_rows,
     tau,
     two_core,

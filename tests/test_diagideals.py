@@ -4,9 +4,7 @@ import random
 import pytest
 
 from diagonals.diagideals import (
-    Comparison,
     alternant_basis,
-    alternant_generators,
     averaged_multiple_dim,
     compare,
     discriminant,
@@ -15,7 +13,6 @@ from diagonals.diagideals import (
     ideal_J,
     invariant_image_dim,
     orbit_projection,
-    pair_ideal,
     pair_ideal_power,
     primitive_part,
     symbolic_power,
@@ -27,6 +24,7 @@ from diagonals.groebner import (
     graded_basis,
     ideal_equal,
     ideal_power,
+    minimal_generator_counts,
     nf_monomial_table,
 )
 from diagonals.linalg import RowEchelon, mat_det, mat_inv, transpose
@@ -120,14 +118,14 @@ class TestSmallTypes:
         rs = root_system("A", 1)
         W = WeylGroup(rs)
         I = ideal_I(rs)
-        J = ideal_J(W, 3)
+        J = ideal_J(W, I, 3)
         assert compare(J, I, 5).relation == "equal"
 
     def test_a1_powers_coincide(self):
         rs = root_system("A", 1)
         W = WeylGroup(rs)
         I = ideal_I(rs)
-        J = ideal_J(W, 3)
+        J = ideal_J(W, I, 3)
         for k in (1, 2, 3):
             Ik = ideal_power(I, k)
             assert ideal_equal(ideal_power(J, k), Ik)
@@ -137,14 +135,15 @@ class TestSmallTypes:
         rs = root_system("A", 2)
         W = WeylGroup(rs)
         I = ideal_I(rs)
-        J = ideal_J(W, 6)
+        J = ideal_J(W, I, 6)
         assert compare(J, I, 6).relation == "equal"
         assert ideal_equal(ideal_power(I, 2), symbolic_power(rs, 2))
 
     def test_b2_equality(self):
         rs = root_system("B2")
         W = WeylGroup(rs)
-        c = compare(ideal_J(W, 8), ideal_I(rs), 8)
+        I = ideal_I(rs)
+        c = compare(ideal_J(W, I, 8), I, 8)
         assert c.relation == "equal"
         assert c.certificate is None
 
@@ -198,9 +197,25 @@ class TestAlternants:
 
     def test_generators_degree_bound_recorded(self):
         W = WeylGroup(root_system("A", 1))
-        J = ideal_J(W, 4)
+        J = ideal_J(W, ideal_I(W.root_system), 4)
         assert J.generated_up_to == 4
         assert all(g.total_degree() <= 4 for g in J.gens)
+
+    @pytest.mark.parametrize("name", ["A2", "B2", "G2", "B3"])
+    def test_minimal_generators_match_every_alternant(self, name):
+        # reference: the ideal of every alternant through the bound
+        bound = 8
+        rs = root_system(name)
+        W = WeylGroup(rs)
+        I = ideal_I(rs)
+        every = [g for d in range(bound + 1) for a in range(d + 1)
+                 for g in alternant_basis(W, a, d - a)]
+        assert all(I.contains(g) for g in every)
+        J = ideal_J(W, I, bound)
+        assert J.groebner_basis() == Ideal(every).groebner_basis()
+        degrees = [g.total_degree() for g in J.gens]
+        counts = minimal_generator_counts(J, bound)
+        assert {d: degrees.count(d) for d in counts} == counts
 
     def test_orbit_projection_matches_naive_average(self):
         # the projection averages over the monomial subgroup, which is all
@@ -258,7 +273,7 @@ class TestAveragedImages:
         rs = root_system("B2")
         W = WeylGroup(rs)
         I = ideal_I(rs)
-        J = ideal_J(W, 8)
+        J = ideal_J(W, I, 8)
         A = full_ring_ideal(2 * rs.ambient)
         delta = discriminant(rs)
         for k in (2, 3, 4):
@@ -314,8 +329,8 @@ class TestCompare:
 
     def test_bounds_recorded(self):
         W = WeylGroup(root_system("A", 1))
-        J = ideal_J(W, 2)
         I = ideal_I(W.root_system)
+        J = ideal_J(W, I, 2)
         c = compare(J, I, 3)
         assert c.bounds_used["leftGeneratedUpTo"] == 2
         assert c.bounds_used["rightGeneratedUpTo"] is None

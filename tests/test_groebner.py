@@ -17,6 +17,7 @@ from diagonals.groebner import (
     ideal_product,
     intersect_many,
     minimal_generator_counts,
+    minimal_generators,
     nf_monomial_table,
 )
 from diagonals.polyring import (
@@ -274,6 +275,15 @@ class TestBudget:
                                         max_basis=4000)).groebner_basis()
         assert info.value.reason == "time limit in reduction"
         assert info.value.elapsed > 0
+
+    def test_minimal_generators_check_the_budget_per_degree(self):
+        # the clock runs from the budget's creation, so a spent budget
+        # stops the first degree before any basis work
+        x, y = variables(2)
+        with pytest.raises(BudgetExceeded) as info:
+            minimal_generators(lambda d: [], Ideal([x, y]), 2,
+                               Budget(max_seconds=0))
+        assert info.value.reason == "time limit in minimal generators"
 
     def test_env_override(self, monkeypatch):
         monkeypatch.setenv("DIAGONALS_MAX_SECONDS", "12.5")

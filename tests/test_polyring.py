@@ -25,7 +25,7 @@ from diagonals.polyring import (
     variables,
 )
 
-from support import monomials, polynomials, random_points, rationals
+from support import monomials, polynomials, random_points
 
 
 x1, x2, y1, y2 = variables(4)

@@ -11,7 +11,7 @@ from diagonals.polyring import (
     to_string,
     variables,
 )
-from diagonals.weyl import RootSystem, WeylGroup, root_system
+from diagonals.weyl import WeylGroup, root_system
 
 
 def test_group_orders():
