@@ -14,7 +14,11 @@ import time
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from diagonals.diagideals import compare, ideal_I, ideal_J, primitive_part  # noqa: E402
-from diagonals.groebner import graded_basis, minimal_generator_counts  # noqa: E402
+from diagonals.groebner import (  # noqa: E402
+    degree_counts,
+    graded_basis,
+    minimal_generator_counts,
+)
 from diagonals.weyl import WeylGroup, root_system  # noqa: E402
 
 
@@ -46,7 +50,8 @@ def main() -> int:
     cmp = compare(J, I, args.degree_bound)
     print(f"\nrelation: {cmp.relation}")
     print(f"certificate: {cmp.certificate}")
-    print(f"minimal generators of J: {minimal_generator_counts(J, args.degree_bound)}")
+    counts_j = degree_counts(J.gens, args.degree_bound)
+    print(f"minimal generators of J: {counts_j}")
     print(f"minimal generators of I: {minimal_generator_counts(I, args.degree_bound)}")
 
     if cmp.certificate:

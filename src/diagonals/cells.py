@@ -51,12 +51,6 @@ def bipartitions(n: int) -> Iterator[tuple]:
             yield (lam, mu)
 
 
-def conjugate(p: Partition) -> Partition:
-    if not p:
-        return ()
-    return tuple(sum(1 for a in p if a > c) for c in range(p[0]))
-
-
 def row_labels(p: Partition) -> list:
     """Parity of the content, row by row, top row first."""
     return ["".join(str((c - r) % 2) for c in range(width))

@@ -57,6 +57,7 @@ from .groebner import (
     Budget,
     BudgetExceeded,
     _extend,
+    degree_counts,
     ideal_equal,
     ideal_power,
     minimal_generator_counts,
@@ -123,7 +124,7 @@ def _t_b3_strict_inclusion(opts: dict) -> dict:
     _, I, J = _build_both("B3", bound, budget)
     cmp = compare(J, I, bound)
     counts_i = minimal_generator_counts(I, bound, budget)
-    counts_j = minimal_generator_counts(J, bound, budget)
+    counts_j = degree_counts(J.gens, bound)
     extra = {d: counts_i.get(d, 0) - counts_j.get(d, 0)
              for d in sorted(set(counts_i) | set(counts_j))
              if counts_i.get(d, 0) != counts_j.get(d, 0)}
@@ -147,9 +148,12 @@ def _t_b3_strict_inclusion(opts: dict) -> dict:
 
 def _t_b3_invariant_images(opts: dict) -> dict:
     bound = opts["bound"]
-    W, I, J = _build_both("B3", bound, Budget.from_env())
-    dims_i = [invariant_image_dim(W, I, d) for d in range(bound + 1)]
-    dims_j = [invariant_image_dim(W, J, d) for d in range(bound + 1)]
+    budget = Budget.from_env()
+    W, I, J = _build_both("B3", bound, budget)
+    dims_i = [invariant_image_dim(W, I, d, budget=budget)
+              for d in range(bound + 1)]
+    dims_j = [invariant_image_dim(W, J, d, budget=budget)
+              for d in range(bound + 1)]
     return {
         "ok": dims_i == dims_j,
         "details": {
@@ -266,7 +270,8 @@ def _t_delta_identity(opts: dict) -> dict:
         three_way = []
         agree = True
         for k in range(bound - deg + 1):
-            dims = [averaged_multiple_dim(W, delta, X, k) for X in (I, J, R)]
+            dims = [averaged_multiple_dim(W, delta, X, k, budget)
+                    for X in (I, J, R)]
             three_way.append({"outputDegree": deg + k, "dims": dims})
             agree &= dims[0] == dims[1] == dims[2]
         ok &= identity_ok and agree

@@ -197,16 +197,15 @@ def ideal_J(W: WeylGroup, I: Ideal, max_degree: int,
     """Ideal generated by the alternants of total degree <= max_degree.
 
     Its generators are a minimal set of alternants, picked degree by degree
-    against the intersection ideal I, which holds them all (see
-    minimal_generators).  They are complete only up to max_degree, which
-    the ideal records in generated_up_to.
+    against the intersection ideal I, which holds them all, and its reduced
+    basis is the one built along the way (see minimal_generators).  They
+    are complete only up to max_degree, which the ideal records in
+    generated_up_to.
     """
-    gens = minimal_generators(
+    return minimal_generators(
         lambda d: [g for a in range(d, -1, -1)
                    for g in alternant_basis(W, a, d - a)],
         I, max_degree, budget)
-    return Ideal(gens, nvars=2 * W.ambient,
-                 generated_up_to=max_degree, budget=budget)
 
 
 # ---------------------------------------------------------------------------
@@ -214,24 +213,31 @@ def ideal_J(W: WeylGroup, I: Ideal, max_degree: int,
 # ---------------------------------------------------------------------------
 
 
-def invariant_image_dim(W: WeylGroup, I: Ideal, d: int,
-                        signed: bool = False) -> int:
+def _image_rank(W: WeylGroup, rows, signed: bool,
+                budget: Budget | None) -> int:
+    """Rank of the (signed) W-averages of rows; the budget, when given, is
+    checked once per row."""
+    ech = RowEchelon()
+    for f in rows:
+        if budget is not None:
+            budget.check("averaged images", ech.rank)
+        ech.add(_compressed_row(W, f, signed))
+    return ech.rank
+
+
+def invariant_image_dim(W: WeylGroup, I: Ideal, d: int, signed: bool = False,
+                        budget: Budget | None = None) -> int:
     """dim of the space of (anti)symmetrized elements of the degree-d piece."""
     if I.nvars != 2 * W.ambient:
         raise ValueError("ideal does not live on the doubled space")
-    ech = RowEchelon()
-    for b in graded_basis(I, d):
-        ech.add(_compressed_row(W, b, signed))
-    return ech.rank
+    return _image_rank(W, graded_basis(I, d), signed, budget)
 
 
 def averaged_multiple_dim(W: WeylGroup, multiplier: Polynomial, I: Ideal,
-                          k: int) -> int:
+                          k: int, budget: Budget | None = None) -> int:
     """dim of e(multiplier * I_k), the symmetrized multiplier-shifted piece."""
-    ech = RowEchelon()
-    for b in graded_basis(I, k):
-        ech.add(_compressed_row(W, multiplier * b, False))
-    return ech.rank
+    return _image_rank(W, (multiplier * b for b in graded_basis(I, k)),
+                       False, budget)
 
 
 def full_ring_ideal(nvars: int) -> Ideal:

@@ -265,10 +265,3 @@ def r1_top_identity_coefficient(op: dict) -> dict:
     """Laurent coefficient of d^order on the identity component."""
     order = r1_order(op)
     return dict(op.get((order, 0), {}))
-
-
-def commutative_shadow(letters: Sequence) -> tuple:
-    """(x-degree, D-degree) of a word under the top-symbol substitution."""
-    xdeg = sum(count for symbol, count in letters if symbol == "x")
-    ddeg = sum(count for symbol, count in letters if symbol == "D")
-    return (xdeg, ddeg)

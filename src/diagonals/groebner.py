@@ -30,7 +30,6 @@ import time
 from dataclasses import dataclass, field
 from operator import add, sub
 
-from .linalg import RowEchelon
 from .polyring import (
     GREVLEX,
     EliminationOrder,
@@ -246,111 +245,124 @@ def _coprime(a: Monomial, b: Monomial) -> bool:
     return all(x == 0 or y == 0 for x, y in zip(a, b))
 
 
-def _update_pairs(leads, sugars, alive, lcm_of, heap, t, keyf):
-    """Register pairs (i, t), pruned by the product and chain criteria.
+class _Basis:
+    """A growing Groebner basis: primitive gpolys with their leads and
+    sugars, and the heap of pairs not yet reduced.
 
-    A kept pair enters the heap as (sugar, lcm key, i, t), where its sugar
-    is the larger of sugar_i + deg(lcm) - deg(lead_i) over both elements.
+    On homogeneous input a pair's sugar is its degree, so after run(d) the
+    basis is a Groebner basis through degree d of the ideal added so far.
     """
-    lt = leads[t]
-    cand = []
-    for i in range(t):
-        l = tuple(map(max, leads[i], lt))
-        cand.append((keyf(l), i, l))
-    cand.sort()
-    kept: list = []
-    for pos, (lk, i, l) in enumerate(cand):
-        if _coprime(leads[i], leads[t]):
-            kept.append((i, l, lk, True))
-            continue
-        drop = False
-        for _, lj, _, _ in kept:
-            if _divides(lj, l):
-                drop = True
-                break
-        if not drop:
-            for lk2, _, l2 in cand[pos + 1:]:
-                if l2 == l:
+
+    def __init__(self, keyf, budget: Budget):
+        self.keyf = keyf
+        self.budget = budget
+        self.polys: list = []
+        self.leads: list = []
+        self.sugars: list = []
+        self.lcm_of: dict = {}  # (i, j) -> lcm of the leads, per live pair
+        self.heap: list = []
+        self.pops = 0
+
+    def add(self, g: list, sugar: int) -> bool:
+        """Insert the normal form of gpoly g with the given sugar when it is
+        nonzero; return whether it was inserted."""
+        gg = _to_g(_g_nf(g, self.polys, budget=self.budget), self.keyf)
+        if gg:
+            self.polys.append(gg)
+            self.leads.append(gg[0][1])
+            self.sugars.append(sugar)
+            self._update_pairs(len(self.polys) - 1)
+        return bool(gg)
+
+    def _update_pairs(self, t: int) -> None:
+        """Register pairs (i, t), pruned by the product and chain criteria.
+
+        A kept pair enters the heap as (sugar, lcm key, i, t), where its
+        sugar is the larger of sugar_i + deg(lcm) - deg(lead_i) over both
+        elements.
+        """
+        leads, keyf, lcm_of = self.leads, self.keyf, self.lcm_of
+        lt = leads[t]
+        cand = []
+        for i in range(t):
+            l = tuple(map(max, leads[i], lt))
+            cand.append((keyf(l), i, l))
+        cand.sort()
+        kept: list = []
+        for pos, (lk, i, l) in enumerate(cand):
+            if _coprime(leads[i], leads[t]):
+                kept.append((i, l, lk, True))
+                continue
+            drop = False
+            for _, lj, _, _ in kept:
+                if _divides(lj, l):
                     drop = True
                     break
-        if not drop:
-            kept.append((i, l, lk, False))
-    # chain criterion against existing pairs
-    for (i, j) in list(alive):
-        l = lcm_of[(i, j)]
-        if (_divides(lt, l) and tuple(map(max, leads[i], lt)) != l
-                and tuple(map(max, leads[j], lt)) != l):
-            alive.discard((i, j))
-            del lcm_of[(i, j)]
-    sugar_t = sugars[t] - sum(lt)
-    for i, l, lk, coprime in kept:
-        if coprime:
-            continue
-        alive.add((i, t))
-        lcm_of[(i, t)] = l
-        sugar = sum(l) + max(sugars[i] - sum(leads[i]), sugar_t)
-        heapq.heappush(heap, (sugar, lk, i, t))
+            if not drop:
+                for lk2, _, l2 in cand[pos + 1:]:
+                    if l2 == l:
+                        drop = True
+                        break
+            if not drop:
+                kept.append((i, l, lk, False))
+        # chain criterion against existing pairs
+        for (i, j), l in list(lcm_of.items()):
+            if (_divides(lt, l) and tuple(map(max, leads[i], lt)) != l
+                    and tuple(map(max, leads[j], lt)) != l):
+                del lcm_of[(i, j)]
+        sugar_t = self.sugars[t] - sum(lt)
+        for i, l, lk, coprime in kept:
+            if coprime:
+                continue
+            lcm_of[(i, t)] = l
+            sugar = sum(l) + max(self.sugars[i] - sum(leads[i]), sugar_t)
+            heapq.heappush(self.heap, (sugar, lk, i, t))
+
+    def run(self, max_sugar: float = math.inf) -> None:
+        """Reduce the S-polynomials of the pairs, smallest sugar first,
+        until no pair of sugar <= max_sugar is left."""
+        heap, budget = self.heap, self.budget
+        while heap and heap[0][0] <= max_sugar:
+            sugar, _, i, j = heapq.heappop(heap)
+            if self.lcm_of.pop((i, j), None) is None:
+                continue
+            self.pops += 1
+            if not self.pops % 16:
+                budget.check("pair loop", len(self.polys))
+            if len(self.polys) > budget.max_basis:
+                raise BudgetExceeded("basis size limit",
+                                     time.monotonic() - budget.started,
+                                     len(self.polys))
+            s = _g_spoly(self.polys[i], self.polys[j], self.keyf)
+            if s:
+                self.add(s, sugar)
+
+    def reduced(self) -> list:
+        """Reduced basis as primitive gpolys sorted ascending by lead key."""
+        polys = self.polys
+        # minimalize: drop elements whose lead another kept lead divides
+        order_idx = sorted(range(len(polys)), key=lambda i: polys[i][0][0])
+        kept_idx: list = []
+        for i in order_idx:
+            m = polys[i][0][1]
+            if not any(_divides(polys[j][0][1], m) for j in kept_idx):
+                kept_idx.append(i)
+        minimal = [polys[i] for i in kept_idx]
+
+        # interreduce tails, ascending; earlier elements are already final
+        reduced: list = []
+        for pos, g in enumerate(minimal):
+            others = reduced + minimal[pos + 1:]
+            nf = _g_nf(g, others, budget=self.budget)
+            reduced.append(_to_g(nf, self.keyf))
+        return reduced
 
 
-def _buchberger_core(ggens: list, keyf, budget: Budget) -> list:
-    """Reduced basis as primitive gpolys sorted ascending by lead key."""
-    basis: list = []
-    leads: list = []
-    sugars: list = []
-    alive: set = set()
-    lcm_of: dict = {}
-    heap: list = []
-
-    def insert(g: list, sugar: int):
-        basis.append(g)
-        leads.append(g[0][1])
-        sugars.append(sugar)
-        _update_pairs(leads, sugars, alive, lcm_of, heap, len(basis) - 1,
-                      keyf)
-
-    for g in sorted((g for g in ggens if g), key=lambda p: (p[0][0], p)):
-        nf = _g_nf(g, basis, budget=budget)
-        gg = _to_g(nf, keyf)
-        if gg:
-            insert(gg, max(sum(m) for _, m, _ in g))
-
-    pops = 0
-    while heap:
-        sugar, _, i, j = heapq.heappop(heap)
-        if (i, j) not in alive:
-            continue
-        alive.discard((i, j))
-        del lcm_of[(i, j)]
-        pops += 1
-        if not pops % 16:
-            budget.check("pair loop", len(basis))
-        if len(basis) > budget.max_basis:
-            raise BudgetExceeded("basis size limit",
-                                 time.monotonic() - budget.started, len(basis))
-        s = _g_spoly(basis[i], basis[j], keyf)
-        if not s:
-            continue
-        nf = _g_nf(s, basis, budget=budget)
-        gg = _to_g(nf, keyf)
-        if gg:
-            insert(gg, sugar)
-
-    # minimalize: drop elements whose lead is divisible by another kept lead
-    order_idx = sorted(range(len(basis)), key=lambda i: basis[i][0][0])
-    kept_idx: list = []
-    for i in order_idx:
-        m = basis[i][0][1]
-        if not any(_divides(basis[j][0][1], m) for j in kept_idx):
-            kept_idx.append(i)
-    minimal = [basis[i] for i in kept_idx]
-
-    # interreduce tails, ascending; earlier elements are already final
-    reduced: list = []
-    for pos, g in enumerate(minimal):
-        others = reduced + minimal[pos + 1:]
-        nf = _g_nf(g, others, budget=budget)
-        reduced.append(_to_g(nf, keyf))
-    return reduced
+def _multiples_of_degree(leads, nvars: int, d: int) -> list:
+    """The degree-d monomials divisible by one of the leads."""
+    leads = [l for l in leads if sum(l) <= d]
+    return [m for m in monomials_of_degree(nvars, d)
+            if any(_divides(l, m) for l in leads)]
 
 
 def _g_to_poly(g: list, nvars: int) -> Polynomial:
@@ -397,13 +409,13 @@ class Ideal:
     def groebner_basis(self) -> tuple:
         if self._gb is None:
             keyf = self.order.key
-            core = _buchberger_core(
-                [_to_g(g.terms, keyf) for g in self.gens],
-                keyf,
-                self.budget or Budget.from_env(),
-            )
-            self._gbg = core
-            self._gb = tuple(_g_to_poly(g, self.nvars) for g in core)
+            basis = _Basis(keyf, self.budget or Budget.from_env())
+            for g in sorted((_to_g(g.terms, keyf) for g in self.gens),
+                            key=lambda p: (p[0][0], p)):
+                basis.add(g, max(sum(m) for _, m, _ in g))
+            basis.run()
+            self._gbg = basis.reduced()
+            self._gb = tuple(_g_to_poly(g, self.nvars) for g in self._gbg)
         return self._gb
 
     def _core(self) -> list:
@@ -450,12 +462,7 @@ class Ideal:
         return len(self.leading_monomials_of_degree(d))
 
     def leading_monomials_of_degree(self, d: int) -> list:
-        leads = [l for l in self.leading_monomials() if sum(l) <= d]
-        out = []
-        for m in monomials_of_degree(self.nvars, d):
-            if any(_divides(l, m) for l in leads):
-                out.append(m)
-        return out
+        return _multiples_of_degree(self.leading_monomials(), self.nvars, d)
 
     # -- misc ----------------------------------------------------------------
 
@@ -555,30 +562,43 @@ def _same_ring(I: Ideal, J: Ideal) -> None:
 
 
 def minimal_generators(candidates, full: Ideal, max_degree: int,
-                       budget: Budget | None = None) -> list:
-    """Minimal generators through max_degree of the ideal generated by the
-    candidates, picked degree by degree.
+                       budget: Budget | None = None) -> Ideal:
+    """Ideal of minimal generators through max_degree of the ideal generated
+    by the candidates, picked degree by degree; it records max_degree in
+    generated_up_to and carries its reduced basis.
 
     candidates(d) lists homogeneous elements of degree d of the ideal full.
-    With P the ideal of the generators kept so far, degree d is skipped
-    when dim P_d = dim full_d: then P_d = full_d already holds every
-    candidate.  Otherwise a candidate is kept when its normal form against
-    P is independent of those of the candidates kept before it in degree
-    d.  The budget is checked once per degree.
+    One Groebner basis of the generators kept so far grows along the walk.
+    In degree d it first takes every pair of sugar <= d, which completes it
+    through degree d.  The degree is skipped when its leads then cover
+    dim full_d monomials, since the kept generators already span full_d.
+    Otherwise a candidate is kept when its normal form against the basis,
+    which then joins the basis, is nonzero.  The budget is checked once per
+    degree; the returned ideal keeps the budget given, which may be None.
     """
-    budget = budget or full.budget or Budget.from_env()
+    clock = budget or full.budget or Budget.from_env()
+    keyf = full.order.key
+    basis = _Basis(keyf, clock)
     kept: list = []
-    P = Ideal(kept, full.order, nvars=full.nvars, budget=budget)
     for d in range(max_degree + 1):
-        budget.check("minimal generators", len(kept))
-        if P.graded_dim(d) == full.graded_dim(d):
+        clock.check("minimal generators", len(kept))
+        basis.run(d)
+        covered = _multiples_of_degree(basis.leads, full.nvars, d)
+        if len(covered) == full.graded_dim(d):
             continue
-        ech = RowEchelon()
-        found = [f for f in candidates(d) if ech.add(P.normal_form(f).terms)]
-        if found:
-            kept += found
-            P = Ideal(kept, full.order, nvars=full.nvars, budget=budget)
-    return kept
+        kept += [f for f in candidates(d)
+                 if basis.add(_to_g(f.terms, keyf), d)]
+    basis.run()
+    P = Ideal(kept, full.order, nvars=full.nvars, generated_up_to=max_degree,
+              budget=budget)
+    P._set_basis([_g_to_poly(g, full.nvars) for g in basis.reduced()])
+    return P
+
+
+def degree_counts(gens, max_degree: int) -> dict:
+    """Number of the polynomials in each total degree through max_degree."""
+    degrees = [g.total_degree() for g in gens]
+    return {d: degrees.count(d) for d in range(max_degree + 1)}
 
 
 def minimal_generator_counts(I: Ideal, max_degree: int,
@@ -589,11 +609,10 @@ def minimal_generator_counts(I: Ideal, max_degree: int,
         if not g.is_homogeneous():
             raise ValueError("minimal generator counts need homogeneous gens")
     basis = I.groebner_basis()
-    gens = minimal_generators(
+    P = minimal_generators(
         lambda d: [g for g in basis if g.total_degree() == d],
         I, max_degree, budget)
-    degrees = [g.total_degree() for g in gens]
-    return {d: degrees.count(d) for d in range(max_degree + 1)}
+    return degree_counts(P.gens, max_degree)
 
 
 def nf_monomial_table(I: Ideal, d: int) -> dict:

@@ -227,12 +227,6 @@ class Polynomial:
     def leading_coefficient(self, order: MonomialOrder = GREVLEX):
         return self.terms[self.leading_monomial(order)]
 
-    def monic(self, order: MonomialOrder = GREVLEX) -> "Polynomial":
-        if not self.terms:
-            return self
-        lc = self.leading_coefficient(order)
-        return self * (ONE / lc)
-
     # -- arithmetic --------------------------------------------------------
 
     def _check(self, other: "Polynomial"):
@@ -569,18 +563,6 @@ class _Block:
         got = {exps.setdefault(e, e): c for e, c in got.items() if c}
         self.memo[m] = got
         return got
-
-
-def apply_linear_change(f: Polynomial, matrix: Sequence[Sequence]) -> Polynomial:
-    """Invertible change of variables; raises ValueError on singular input."""
-    from .linalg import mat_det
-
-    rows = tuple(tuple(QQ(e) for e in row) for row in matrix)
-    if len(rows) != f.nvars or any(len(r) != f.nvars for r in rows):
-        raise RingContextError("matrix size != variable count")
-    if not mat_det(rows):
-        raise ValueError("singular change of variables")
-    return LinearSubstitution(rows)(f)
 
 
 # ---------------------------------------------------------------------------

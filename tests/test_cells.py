@@ -9,7 +9,6 @@ from diagonals.cells import (
     bipartitions,
     check_family_class_correspondence,
     check_partition,
-    conjugate,
     corners,
     diagram_label,
     families,
@@ -88,14 +87,6 @@ class TestBasics:
             bips = list(bipartitions(n))
             trivial = [p for p in partitions(2 * n) if not two_core(p)]
             assert len(bips) == len(trivial)
-
-    def test_conjugate(self):
-        assert conjugate((3, 1)) == (2, 1, 1)
-        assert conjugate(()) == ()
-
-    @given(random_partitions())
-    def test_conjugate_involution(self, p):
-        assert conjugate(conjugate(p)) == p
 
 
 class TestHeart:

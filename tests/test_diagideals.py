@@ -20,10 +20,14 @@ from diagonals.diagideals import (
     y_form,
 )
 from diagonals.groebner import (
+    Budget,
+    BudgetExceeded,
     Ideal,
+    degree_counts,
     graded_basis,
     ideal_equal,
     ideal_power,
+    ideal_product,
     minimal_generator_counts,
     nf_monomial_table,
 )
@@ -147,6 +151,21 @@ class TestSmallTypes:
         assert c.relation == "equal"
         assert c.certificate is None
 
+    def test_a3_minimal_generators_and_equality(self):
+        # oracle: the number of minimal generators in degree d is
+        # dim I_d - dim (m*I)_d, m the maximal homogeneous ideal
+        rs = root_system("A", 3)
+        W = WeylGroup(rs)
+        I = ideal_I(rs)
+        counts = minimal_generator_counts(I, 6)
+        assert {d: c for d, c in counts.items() if c} == {4: 3, 5: 4, 6: 7}
+        mI = ideal_product(Ideal(variables(I.nvars)), I)
+        assert all(counts[d] == I.graded_dim(d) - mI.graded_dim(d)
+                   for d in range(7))
+        J = ideal_J(W, I, 6)
+        assert degree_counts(J.gens, 6) == counts
+        assert compare(J, I, 6).relation == "equal"
+
     def test_pair_ideal_power_generators(self):
         rs = root_system("B2")
         P2 = pair_ideal_power(rs, 0, 2)
@@ -212,10 +231,12 @@ class TestAlternants:
                  for g in alternant_basis(W, a, d - a)]
         assert all(I.contains(g) for g in every)
         J = ideal_J(W, I, bound)
-        assert J.groebner_basis() == Ideal(every).groebner_basis()
-        degrees = [g.total_degree() for g in J.gens]
-        counts = minimal_generator_counts(J, bound)
-        assert {d: degrees.count(d) for d in counts} == counts
+        # J comes with the reduced basis built along the walk
+        assert J._gb is not None
+        assert J._gb == Ideal(every).groebner_basis()
+        assert J._gb == Ideal(J.gens).groebner_basis()
+        assert degree_counts(J.gens, bound) == minimal_generator_counts(
+            J, bound)
 
     def test_orbit_projection_matches_naive_average(self):
         # the projection averages over the monomial subgroup, which is all
@@ -300,6 +321,20 @@ class TestAveragedImages:
             for b in basis:
                 full.add(dict(W.symmetrize(delta * b).terms))
             assert averaged_multiple_dim(W, delta, X, d) == full.rank
+
+    def test_averaged_images_check_the_budget_per_row(self):
+        # the clock runs from the budget's creation, so a spent budget
+        # stops at the first row of a nonzero graded piece
+        rs = root_system("B2")
+        W = WeylGroup(rs)
+        I = ideal_I(rs)
+        delta = discriminant(rs)
+        assert I.graded_dim(4)
+        for dim in (lambda b: invariant_image_dim(W, I, 4, budget=b),
+                    lambda b: averaged_multiple_dim(W, delta, I, 4, b)):
+            with pytest.raises(BudgetExceeded) as info:
+                dim(Budget(max_seconds=0))
+            assert info.value.reason == "time limit in averaged images"
 
     def test_full_ring_ideal_basis(self):
         A = full_ring_ideal(4)

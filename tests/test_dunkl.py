@@ -7,7 +7,6 @@ from diagonals.dunkl import (
     check_commutativity,
     check_defining_relation,
     commutation_rhs,
-    commutative_shadow,
     coordinate_operators,
     equivariant_transport,
     multiplication_commutator,
@@ -207,7 +206,6 @@ class TestRankOneSymbols:
                     op = r1_word(letters, c)
                     assert r1_order(op) == j
                     assert r1_top_identity_coefficient(op) == {i + k: ONE}
-                    assert commutative_shadow(letters) == (i + k, j)
 
     @pytest.mark.parametrize("c", [QQ(0), QQ(1), QQ(3, 7)])
     def test_word_application_matches_operator_route(self, c):

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import random
 
 import pytest
@@ -20,6 +21,7 @@ from diagonals.groebner import (
     minimal_generators,
     nf_monomial_table,
 )
+from diagonals.linalg import RowEchelon
 from diagonals.polyring import (
     GREVLEX,
     LEX,
@@ -258,6 +260,77 @@ class TestGradedData:
         counts = minimal_generator_counts(I, 6)
         for d in range(7):
             assert counts[d] == I.graded_dim(d) - mI.graded_dim(d)
+
+
+def _homogeneous(rng, nvars, d, terms=3):
+    monos = list(monomials_of_degree(nvars, d))
+    return Polynomial(nvars, {rng.choice(monos): QQ(rng.randint(-5, 5))
+                              for _ in range(terms)})
+
+
+def _candidate_lists(seed):
+    """Seeded homogeneous candidates by degree: fresh samples, monomial and
+    S-polynomial multiples of lower candidates, and sums of two candidates
+    of one degree, so that a walk over them both keeps and rejects."""
+    rng = random.Random(seed)
+    nvars, top = rng.randint(3, 4), rng.randint(3, 4)
+    by_degree = {d: [] for d in range(top + 1)}
+
+    def shift(f, d):
+        monos = list(monomials_of_degree(nvars, d - f.total_degree()))
+        return Polynomial(nvars, {rng.choice(monos): QQ(1)}) * f
+
+    for d in range(2, top + 1):
+        lower = [f for e in range(2, d) for f in by_degree[e]]
+        pool = [_homogeneous(rng, nvars, d) for _ in range(rng.randint(1, 2))]
+        pool += [shift(f, d) for f in rng.sample(lower, min(2, len(lower)))]
+        for f, g in itertools.combinations(lower, 2):
+            lf, lg = f.leading_monomial(), g.leading_monomial()
+            lcm = tuple(map(max, lf, lg))
+            if sum(lcm) <= d:
+                u = tuple(a - b for a, b in zip(lcm, lf))
+                v = tuple(a - b for a, b in zip(lcm, lg))
+                s = (Polynomial(nvars, {u: g.leading_coefficient()}) * f
+                     - Polynomial(nvars, {v: f.leading_coefficient()}) * g)
+                if s:
+                    pool.append(shift(s, d))
+        pool += [a + b for a, b in itertools.combinations(pool[:3], 2)]
+        pool = [f for f in pool if f]
+        rng.shuffle(pool)
+        by_degree[d] = pool
+    return nvars, top, by_degree
+
+
+def _rebuilt_walk(candidates, full, top):
+    """The walk as it was before one basis grew along it: a fresh Ideal of
+    the kept generators after each degree that adds some, and a RowEchelon
+    of normal forms against it."""
+    kept = []
+    P = Ideal(kept, nvars=full.nvars)
+    for d in range(top + 1):
+        if P.graded_dim(d) == full.graded_dim(d):
+            continue
+        ech = RowEchelon()
+        found = [f for f in candidates(d) if ech.add(P.normal_form(f).terms)]
+        if found:
+            kept += found
+            P = Ideal(kept, nvars=full.nvars)
+    return kept
+
+
+class TestMinimalGeneratorWalk:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_rebuilt_walk(self, seed):
+        nvars, top, by_degree = _candidate_lists(seed)
+        every = [f for fs in by_degree.values() for f in fs]
+        full = Ideal(every, nvars=nvars)
+        kept = _rebuilt_walk(by_degree.__getitem__, full, top)
+        assert len(kept) < len(every)
+        P = minimal_generators(by_degree.__getitem__, full, top)
+        assert list(P.gens) == kept
+        assert P.generated_up_to == top
+        assert P._gb is not None
+        assert P._gb == Ideal(kept, nvars=nvars).groebner_basis()
 
 
 class TestBudget:
