@@ -300,8 +300,10 @@ def run_target(name: str, opts: dict) -> dict:
     try:
         result = TARGETS[name](opts)
     except BudgetExceeded as stop:
-        result = {"ok": False, "aborted": "budget", "details": {
-            "reason": stop.reason, "basisSize": stop.basis_size}}
+        details = {"reason": stop.reason}
+        if stop.basis_size is not None:
+            details["basisSize"] = stop.basis_size
+        result = {"ok": False, "aborted": "budget", "details": details}
     result["target"] = name
     if opts.get("timings"):
         result["seconds"] = round(time.monotonic() - start, 2)

@@ -20,18 +20,19 @@ the reverse inclusion, graded piece by graded piece.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .groebner import (
     Budget,
     Ideal,
+    _to_g,
     graded_basis,
     intersect_many,
     minimal_generators,
 )
 from .linalg import RowEchelon
 from .polyring import (
+    GREVLEX,
     ONE,
     Polynomial,
     QQ,
@@ -101,18 +102,8 @@ def discriminant(rs: RootSystem) -> Polynomial:
 
 def primitive_part(f: Polynomial) -> Polynomial:
     """Rescale to coprime integer coefficients with positive leading one."""
-    if not f:
-        return f
-    den = 1
-    for c in f.terms.values():
-        den = math.lcm(den, int(c.denominator))
-    num = 0
-    for c in f.terms.values():
-        num = math.gcd(num, int(c * den))
-    scale = QQ(den, num)
-    if f.leading_coefficient() < 0:
-        scale = -scale
-    return f * scale
+    g = _to_g(f.terms, GREVLEX.key)
+    return Polynomial(f.nvars, {m: c for _, m, c in g})
 
 
 def orbit_projection(W: WeylGroup, mono: tuple, signed: bool):
@@ -220,7 +211,7 @@ def _image_rank(W: WeylGroup, rows, signed: bool,
     ech = RowEchelon()
     for f in rows:
         if budget is not None:
-            budget.check("averaged images", ech.rank)
+            budget.check("averaged images")
         ech.add(_compressed_row(W, f, signed))
     return ech.rank
 

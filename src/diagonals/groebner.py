@@ -3,8 +3,10 @@
 The kernel works on integer-primitive term lists with precomputed order
 keys.  Keys are additive (key(u*v) = key(u) + key(v)), so shifting a
 polynomial by a monomial never re-derives keys from exponents.  Reduction
-is fraction-free: cross-multiplied subtractions keep everything in ZZ and
-a per-emission scale records the exact rational normal form at the end.
+is fraction-free: cross-multiplied subtractions keep everything in ZZ, and
+one integer scale per reduction records the factor by which the result
+differs from the exact rational normal form.  Rationals appear only where
+a Polynomial goes in or comes out.
 
 Pair management follows the classic update procedure with the product and
 chain criteria.  Selection is the sugar strategy of Giovini, Mora, Niesi,
@@ -67,9 +69,10 @@ class Budget:
             max_basis=_positive_env("DIAGONALS_MAX_BASIS", int, cls.max_basis),
         )
 
-    def check(self, layer: str, basis_size: int) -> None:
+    def check(self, layer: str, basis_size: int | None = None) -> None:
         """Raise BudgetExceeded, naming layer, once max_seconds have passed
-        since the budget was created."""
+        since the budget was created; basis_size is the size of the layer's
+        basis, for layers that have one."""
         elapsed = time.monotonic() - self.started
         if elapsed > self.max_seconds:
             raise BudgetExceeded(f"time limit in {layer}", elapsed, basis_size)
@@ -88,11 +91,11 @@ def _positive_env(name: str, kind, default):
 
 
 class BudgetExceeded(RuntimeError):
-    def __init__(self, reason: str, elapsed: float, basis_size: int):
-        super().__init__(
-            f"basis computation aborted ({reason}): "
-            f"{elapsed:.1f}s elapsed, {basis_size} basis elements"
-        )
+    def __init__(self, reason: str, elapsed: float,
+                 basis_size: int | None = None):
+        size = "" if basis_size is None else f", {basis_size} basis elements"
+        super().__init__(f"basis computation aborted ({reason}): "
+                         f"{elapsed:.1f}s elapsed{size}")
         self.reason = reason
         self.elapsed = elapsed
         self.basis_size = basis_size
@@ -101,8 +104,9 @@ class BudgetExceeded(RuntimeError):
 # ---------------------------------------------------------------------------
 # integer kernel
 # ---------------------------------------------------------------------------
-# A gpoly is a list of (key, mono, int_coeff) sorted by key descending,
-# content-stripped, with positive leading coefficient.
+# A gpoly is a list of (key, mono, int_coeff) sorted by key descending.  A
+# primitive one, as every basis holds, is content-stripped with positive
+# leading coefficient.
 
 
 def _divides(a: Monomial, b: Monomial) -> bool:
@@ -124,15 +128,19 @@ def _to_g(terms: dict, keyf) -> list:
     return _primitive(out)
 
 
-def _primitive(terms: list) -> list:
-    if not terms:
-        return terms
+def _content(terms: list) -> int:
+    """gcd of the coefficients, 0 for no terms."""
     g = 0
     for _, _, c in terms:
         g = math.gcd(g, c)
         if g == 1:
             break
-    if terms[0][2] < 0:
+    return g
+
+
+def _primitive(terms: list) -> list:
+    g = _content(terms)
+    if terms and terms[0][2] < 0:
         g = -g
     if g != 1:
         terms = [(k, m, c // g) for k, m, c in terms]
@@ -144,10 +152,11 @@ def _shifted(g: list, umono: Monomial, ukey: tuple, factor: int) -> list:
             for k, m, c in g]
 
 
-def _combine(a: int, f: list, fstart: int, h: list) -> list:
-    """a * f[fstart:] - h, both inputs sorted descending."""
-    out = []
-    i, j = fstart, 0
+def _combine(a: int, f: list, skip: int, h: list) -> list:
+    """a * f without its term at index skip, minus h; both inputs sorted
+    descending, and every key of h below that of f[skip]."""
+    out = f[:skip] if a == 1 else [(k, m, a * c) for k, m, c in f[:skip]]
+    i, j = skip + 1, 0
     nf_, nh = len(f), len(h)
     while i < nf_ and j < nh:
         kf = f[i][0]
@@ -164,12 +173,8 @@ def _combine(a: int, f: list, fstart: int, h: list) -> list:
                 out.append((kf, f[i][1], c))
             i += 1
             j += 1
-    while i < nf_:
-        out.append((f[i][0], f[i][1], a * f[i][2]))
-        i += 1
-    while j < nh:
-        out.append((h[j][0], h[j][1], -h[j][2]))
-        j += 1
+    out += [(k, m, a * c) for k, m, c in f[i:]]
+    out += [(k, m, -c) for k, m, c in h[j:]]
     return out
 
 
@@ -177,54 +182,53 @@ def _g_nf(fg: list, basis: list, member_only: bool = False,
           budget: Budget | None = None):
     """Full normal form of a gpoly against a list of gpolys.
 
-    Returns a dict mono -> QQ giving the exact normal form of the input
-    (interpreted with integer coefficients as given).  With member_only,
-    returns None at the first irreducible term instead (the input is then
-    certainly not in the ideal) and {} when it reduces to zero.  A budget,
-    when given, is checked every 256 steps.
+    Returns (r, scale): r is an integer gpoly in key order, not always
+    primitive, and r / scale is the exact normal form of the input.  A step
+    replaces the work list, irreducible terms included, by a*work - b*u*g
+    and strips its content, keeping input = work * den / scale modulo the
+    basis with coprime positive integers scale and den; den moves into r at
+    the end.  With member_only, returns None at the first irreducible term
+    (the input is then not in the ideal).  A budget, when given, is checked
+    every 256 steps.
     """
     work = fg
     pos = 0
-    scale = ONE
-    emitted: list = []
+    scale = den = 1
     steps = 0
     while pos < len(work):
         steps += 1
         if budget is not None and not steps % 256:
             budget.check("reduction", len(basis))
         k, m, c = work[pos]
-        red = None
-        for g in basis:
-            if _divides(g[0][1], m):
-                red = g
+        for red in basis:
+            if _divides(red[0][1], m):
                 break
-        if red is None:
+        else:
             if member_only:
                 return None
-            emitted.append((m, c, scale))
             pos += 1
             continue
         gk, gm, gc = red[0]
-        d = math.gcd(c, gc)
-        a = gc // d
-        b = c // d
+        q = math.gcd(c, gc)
+        a = gc // q
+        b = c // q
         umono = tuple(map(sub, m, gm))
         ukey = tuple(map(sub, k, gk))
-        h = _shifted(red, umono, ukey, b)
-        work = _combine(a, work, pos + 1, h[1:])
-        pos = 0
+        h = _shifted(red[1:], umono, ukey, b)
+        work = _combine(a, work, pos, h)
         if a != 1:
-            scale = scale * a
-        if work:
-            g0 = 0
-            for _, _, cc in work:
-                g0 = math.gcd(g0, cc)
-                if g0 == 1:
-                    break
-            if g0 > 1:
-                work = [(kk, mm, cc // g0) for kk, mm, cc in work]
-                scale = scale / g0
-    return {m: QQ(c) / se for m, c, se in emitted}
+            q = math.gcd(a, den)
+            scale *= a // q
+            den //= q
+        g0 = _content(work)
+        if g0 > 1:
+            work = [(kk, mm, cc // g0) for kk, mm, cc in work]
+            q = math.gcd(g0, scale)
+            scale //= q
+            den *= g0 // q
+    if den != 1:
+        work = [(kk, mm, cc * den) for kk, mm, cc in work]
+    return work, scale
 
 
 def _g_spoly(f: list, g: list, keyf) -> list:
@@ -236,7 +240,7 @@ def _g_spoly(f: list, g: list, keyf) -> list:
     b = cf // d
     uf = tuple(map(sub, lcm_m, mf))
     ug = tuple(map(sub, lcm_m, mg))
-    F = _shifted(f[1:], uf, keyf(uf), a)
+    F = _shifted(f, uf, keyf(uf), a)
     G = _shifted(g[1:], ug, keyf(ug), b)
     return _primitive(_combine(1, F, 0, G))
 
@@ -266,13 +270,14 @@ class _Basis:
     def add(self, g: list, sugar: int) -> bool:
         """Insert the normal form of gpoly g with the given sugar when it is
         nonzero; return whether it was inserted."""
-        gg = _to_g(_g_nf(g, self.polys, budget=self.budget), self.keyf)
-        if gg:
-            self.polys.append(gg)
-            self.leads.append(gg[0][1])
-            self.sugars.append(sugar)
-            self._update_pairs(len(self.polys) - 1)
-        return bool(gg)
+        r, _ = _g_nf(g, self.polys, budget=self.budget)
+        if not r:
+            return False
+        self.polys.append(_primitive(r))
+        self.leads.append(r[0][1])
+        self.sugars.append(sugar)
+        self._update_pairs(len(self.polys) - 1)
+        return True
 
     def _update_pairs(self, t: int) -> None:
         """Register pairs (i, t), pruned by the product and chain criteria.
@@ -353,21 +358,20 @@ class _Basis:
         reduced: list = []
         for pos, g in enumerate(minimal):
             others = reduced + minimal[pos + 1:]
-            nf = _g_nf(g, others, budget=self.budget)
-            reduced.append(_to_g(nf, self.keyf))
+            r, _ = _g_nf(g, others, budget=self.budget)
+            reduced.append(_primitive(r))
         return reduced
 
 
-def _multiples_of_degree(leads, nvars: int, d: int) -> list:
-    """The degree-d monomials divisible by one of the leads."""
+def _multiples_of_degree(leads, nvars: int, d: int) -> int:
+    """Number of the degree-d monomials divisible by one of the leads."""
     leads = [l for l in leads if sum(l) <= d]
-    return [m for m in monomials_of_degree(nvars, d)
-            if any(_divides(l, m) for l in leads)]
+    return sum(any(_divides(l, m) for l in leads)
+               for m in monomials_of_degree(nvars, d))
 
 
 def _g_to_poly(g: list, nvars: int) -> Polynomial:
-    if not g:
-        return Polynomial.zero(nvars)
+    """The monic Polynomial of a nonzero gpoly."""
     lead = g[0][2]
     return Polynomial(nvars, {m: QQ(c, lead) for _, m, c in g})
 
@@ -428,9 +432,6 @@ class Ideal:
         self._gb = tuple(polys)
         self._gbg = [_to_g(g.terms, keyf) for g in polys]
 
-    def leading_monomials(self) -> tuple:
-        return tuple(g[0][1] for g in self._core())
-
     # -- membership ----------------------------------------------------------
 
     def normal_form(self, f: Polynomial) -> Polynomial:
@@ -439,10 +440,10 @@ class Ideal:
         if not f:
             return f
         g = _to_g(f.terms, self.order.key)
-        # _to_g rescales f to a primitive integer gpoly; undo that factor
-        scale = f.terms[g[0][1]] / g[0][2]
-        nf = _g_nf(g, self._core())
-        return Polynomial(self.nvars, {m: c * scale for m, c in nf.items()})
+        r, scale = _g_nf(g, self._core())
+        # _to_g rescaled f to a primitive integer gpoly; undo that factor too
+        factor = f.terms[g[0][1]] / (g[0][2] * scale)
+        return Polynomial(self.nvars, {m: c * factor for _, m, c in r})
 
     def contains(self, f: Polynomial) -> bool:
         if f.nvars != self.nvars:
@@ -450,7 +451,7 @@ class Ideal:
         if not f:
             return True
         return _g_nf(_to_g(f.terms, self.order.key), self._core(),
-                     member_only=True) == {}
+                     member_only=True) is not None
 
     def contains_ideal(self, other: "Ideal") -> bool:
         return all(self.contains(g) for g in other.groebner_basis())
@@ -458,11 +459,10 @@ class Ideal:
     # -- graded data ---------------------------------------------------------
 
     def graded_dim(self, d: int) -> int:
-        """Dimension of the ideal's degree-d graded piece."""
-        return len(self.leading_monomials_of_degree(d))
-
-    def leading_monomials_of_degree(self, d: int) -> list:
-        return _multiples_of_degree(self.leading_monomials(), self.nvars, d)
+        """Dimension of the ideal's degree-d graded piece: the number of
+        degree-d monomials that a lead of the reduced basis divides."""
+        return _multiples_of_degree([g[0][1] for g in self._core()],
+                                    self.nvars, d)
 
     # -- misc ----------------------------------------------------------------
 
@@ -527,10 +527,8 @@ def ideal_intersect(I: Ideal, J: Ideal, budget: Budget | None = None) -> Ideal:
                    budget=budget or I.budget)
     if isinstance(I.order, type(GREVLEX)):
         # the block order restricts to grevlex on the kept variables, so the
-        # surviving elements are already the reduced basis
-        result._set_basis(tuple(sorted((g for g in result.gens),
-                                       key=lambda p: I.order.key(
-                                           p.leading_monomial(I.order)))))
+        # surviving elements are already the reduced basis, in lead order
+        result._set_basis(result.gens)
     return result
 
 
@@ -561,6 +559,25 @@ def _same_ring(I: Ideal, J: Ideal) -> None:
         raise RingContextError("ideals live in different rings")
 
 
+def _walk(candidates, full: Ideal, max_degree: int,
+          budget: Budget | None) -> tuple:
+    """(kept, basis) of the degree walk of minimal_generators; the basis is
+    a Groebner basis of the kept generators through max_degree."""
+    clock = budget or full.budget or Budget.from_env()
+    keyf = full.order.key
+    basis = _Basis(keyf, clock)
+    kept: list = []
+    for d in range(max_degree + 1):
+        clock.check("minimal generators", len(basis.polys))
+        basis.run(d)
+        covered = _multiples_of_degree(basis.leads, full.nvars, d)
+        if covered == full.graded_dim(d):
+            continue
+        kept += [f for f in candidates(d)
+                 if basis.add(_to_g(f.terms, keyf), d)]
+    return kept, basis
+
+
 def minimal_generators(candidates, full: Ideal, max_degree: int,
                        budget: Budget | None = None) -> Ideal:
     """Ideal of minimal generators through max_degree of the ideal generated
@@ -576,18 +593,7 @@ def minimal_generators(candidates, full: Ideal, max_degree: int,
     which then joins the basis, is nonzero.  The budget is checked once per
     degree; the returned ideal keeps the budget given, which may be None.
     """
-    clock = budget or full.budget or Budget.from_env()
-    keyf = full.order.key
-    basis = _Basis(keyf, clock)
-    kept: list = []
-    for d in range(max_degree + 1):
-        clock.check("minimal generators", len(kept))
-        basis.run(d)
-        covered = _multiples_of_degree(basis.leads, full.nvars, d)
-        if len(covered) == full.graded_dim(d):
-            continue
-        kept += [f for f in candidates(d)
-                 if basis.add(_to_g(f.terms, keyf), d)]
+    kept, basis = _walk(candidates, full, max_degree, budget)
     basis.run()
     P = Ideal(kept, full.order, nvars=full.nvars, generated_up_to=max_degree,
               budget=budget)
@@ -604,15 +610,15 @@ def degree_counts(gens, max_degree: int) -> dict:
 def minimal_generator_counts(I: Ideal, max_degree: int,
                              budget: Budget | None = None) -> dict:
     """Number of minimal generators of I in each degree through max_degree,
-    drawn from I's reduced basis.  Requires homogeneous generators."""
+    drawn from I's reduced basis by the walk of minimal_generators, which
+    stops at max_degree.  Requires homogeneous generators."""
     for g in I.gens:
         if not g.is_homogeneous():
             raise ValueError("minimal generator counts need homogeneous gens")
     basis = I.groebner_basis()
-    P = minimal_generators(
-        lambda d: [g for g in basis if g.total_degree() == d],
-        I, max_degree, budget)
-    return degree_counts(P.gens, max_degree)
+    kept, _ = _walk(lambda d: [g for g in basis if g.total_degree() == d],
+                    I, max_degree, budget)
+    return degree_counts(kept, max_degree)
 
 
 def nf_monomial_table(I: Ideal, d: int) -> dict:
@@ -623,25 +629,20 @@ def nf_monomial_table(I: Ideal, d: int) -> dict:
     ascending pass fills the table.  Returns mono -> {standard mono: QQ}.
     """
     keyf = I.order.key
-    gb = I.groebner_basis()
     entries = []
-    for g in gb:
-        if not g.is_homogeneous():
+    for g in I._core():
+        if len({sum(m) for _, m, _ in g}) != 1:
             raise ValueError("normal-form tables need a homogeneous ideal")
-        lead = g.leading_monomial(I.order)
-        tail = [(m, -c) for m, c in g.terms.items() if m != lead]
-        entries.append((lead, tail))
+        lc = g[0][2]
+        entries.append((g[0][1], [(m, QQ(-c, lc)) for _, m, c in g[1:]]))
     table: dict = {}
     for m in sorted(monomials_of_degree(I.nvars, d), key=keyf):
-        red = None
         for lead, tail in entries:
             if _divides(lead, m):
-                red = (lead, tail)
                 break
-        if red is None:
+        else:
             table[m] = {m: ONE}
             continue
-        lead, tail = red
         u = tuple(a - b for a, b in zip(m, lead))
         acc: dict = {}
         for tm, tc in tail:
@@ -657,11 +658,14 @@ def nf_monomial_table(I: Ideal, d: int) -> dict:
 
 
 def graded_basis(I: Ideal, d: int) -> list:
-    """Triangular basis of the ideal's degree-d piece: w - NF(w) per lead w."""
+    """Triangular basis of the ideal's degree-d piece: w - NF(w) per lead w,
+    a degree-d monomial that is not its own normal form."""
     table = nf_monomial_table(I, d)
     out = []
-    for w in I.leading_monomials_of_degree(d):
-        row = dict(table[w])
-        row[w] = row.get(w, ZERO) - ONE
-        out.append(Polynomial(I.nvars, {m: -c for m, c in row.items()}))
+    for w in monomials_of_degree(I.nvars, d):
+        nf = table[w]
+        if w not in nf:
+            row = {m: -c for m, c in nf.items()}
+            row[w] = ONE
+            out.append(Polynomial(I.nvars, row))
     return out

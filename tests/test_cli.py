@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from diagonals import cli, dunkl
+from diagonals.groebner import BudgetExceeded
 from diagonals.polyring import random_polynomial, to_string
 
 FIXTURE = Path(__file__).parent / "fixtures" / "cells_table_n3.tsv"
@@ -135,6 +136,19 @@ class TestExitCodes:
         code, out = run(capsys, ["verify", "g2-ideal-equality"])
         assert code == 2
         assert out.startswith("ABORT")
+
+    def test_budget_abort_reports_a_basis_size_only_when_known(
+            self, monkeypatch):
+        for size, details in ((None, {"reason": "time limit in x"}),
+                              (3, {"reason": "time limit in x",
+                                   "basisSize": 3})):
+            def target(opts, size=size):
+                raise BudgetExceeded("time limit in x", 1.0, size)
+
+            monkeypatch.setitem(cli.TARGETS, "cells", target)
+            result = cli.run_target("cells", {})
+            assert result["aborted"] == "budget"
+            assert result["details"] == details
 
     def test_unknown_target_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as stop:

@@ -31,13 +31,21 @@ from diagonals.groebner import (
     minimal_generator_counts,
     nf_monomial_table,
 )
-from diagonals.linalg import RowEchelon, mat_det, mat_inv, transpose
+from diagonals.linalg import (
+    RowEchelon,
+    block_diag,
+    mat_det,
+    mat_inv,
+    transpose,
+)
 from diagonals.polyring import (
     ONE,
+    LinearSubstitution,
     Polynomial,
     QQ,
     ZERO,
     monomials_of_bidegree,
+    monomials_of_degree,
     random_polynomial,
     to_string,
     variables,
@@ -63,6 +71,33 @@ def alternant_dim_oracle(W, a, b):
             if ech.add(cols[u]):
                 rank += 1
     return len(monos) - rank
+
+
+def restriction_graded_dims(rs, top):
+    """dim I_d for d <= top, I the intersection of the pair ideals, as
+    dim R_d minus the rank of f -> (f o pi_alpha) over the positive roots.
+
+    pi_alpha = (1 + s_alpha) / 2 on each block projects onto the subspace
+    where the x- and y-forms of alpha vanish, so f o pi_alpha = 0 exactly
+    when f lies in the pair ideal P_alpha.  No Groebner basis is involved.
+    """
+    n = rs.ambient
+    projections = []
+    for alpha in rs.positive_roots:
+        s = rs.reflection(alpha)
+        pi = tuple(tuple(((i == j) + s[i][j]) / 2 for j in range(n))
+                   for i in range(n))
+        projections.append(LinearSubstitution(block_diag(pi, pi)))
+    dims = []
+    for d in range(top + 1):
+        monos = list(monomials_of_degree(2 * n, d))
+        ech = RowEchelon()
+        for m in monos:
+            f = Polynomial(2 * n, {m: 1})
+            ech.add({(k, u): c for k, pi in enumerate(projections)
+                     for u, c in pi(f).terms.items()})
+        dims.append(len(monos) - ech.rank)
+    return dims
 
 
 def _complete_homogeneous(M, top):
@@ -267,6 +302,16 @@ class TestAlternants:
         assert g.leading_coefficient() > 0
 
 
+class TestRestrictionOracle:
+    @pytest.mark.parametrize("name, top", [
+        ("A2", 6), ("B2", 6), ("G2", 4), ("B3", 6)])
+    def test_graded_dims_of_I(self, name, top):
+        rs = root_system(name)
+        I = ideal_I(rs)
+        assert restriction_graded_dims(rs, top) == [
+            I.graded_dim(d) for d in range(top + 1)]
+
+
 class TestAveragedImages:
     def test_delta_identity(self):
         # e(delta * f) = delta * e_-(f) for random f
@@ -335,6 +380,9 @@ class TestAveragedImages:
             with pytest.raises(BudgetExceeded) as info:
                 dim(Budget(max_seconds=0))
             assert info.value.reason == "time limit in averaged images"
+            # an image rank is not a basis, so no basis size is reported
+            assert info.value.basis_size is None
+            assert "basis elements" not in str(info.value)
 
     def test_full_ring_ideal_basis(self):
         A = full_ring_ideal(4)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from diagonals import groebner
 from diagonals.diagideals import pair_ideal_power, symbolic_power
 from diagonals.groebner import (
     Budget,
@@ -144,6 +145,24 @@ class TestNormalForm:
                 assert I.normal_form(s) == Polynomial.zero(nvars)
 
 
+class TestNonMonicNormalForm:
+    """Every reduction step by a non-monic basis element scales the terms
+    already found irreducible, which must keep their share of that scale."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_nf_is_reduced_and_congruent(self, seed):
+        x, y, z = variables(3)
+        gens = [3 * x**2 + 2 * y * z, 5 * y**2 - 7 * x * z]
+        I = Ideal(gens)
+        leads = [g.leading_monomial(GREVLEX) for g in I.groebner_basis()]
+        rng = random.Random(seed)
+        f = random_polynomial(rng, 3, 5, 6)
+        nf = I.normal_form(f)
+        for m in nf.terms:
+            assert not any(all(a <= b for a, b in zip(l, m)) for l in leads)
+        assert span_membership(f - nf, gens)
+
+
 class TestAgainstSpanOracle:
     def test_seeded_membership_matches_oracle(self):
         # random homogeneous instances, cross-checked coefficient by
@@ -249,6 +268,20 @@ class TestGradedData:
         I = ideal_power(Ideal([x, y]), 3)
         counts = minimal_generator_counts(I, 5)
         assert counts == {0: 0, 1: 0, 2: 0, 3: 4, 4: 0, 5: 0}
+
+    def test_min_gen_counts_build_no_reduced_basis(self, monkeypatch):
+        # the counts need only the kept generators, so the walk's basis is
+        # neither completed nor reduced
+        x, y, z = variables(3)
+        I = Ideal([x**2 + y * z, y**3 - z**3, z**4])
+        I.groebner_basis()
+
+        def refuse(self):
+            raise AssertionError("reduced basis built")
+
+        monkeypatch.setattr(groebner._Basis, "reduced", refuse)
+        assert minimal_generator_counts(I, 4) == {0: 0, 1: 0, 2: 1, 3: 1,
+                                                  4: 1}
 
     def test_min_gens_matches_mI_dimension_oracle(self):
         # count_d must equal dim I_d - dim (m*I)_d
