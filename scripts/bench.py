@@ -1,0 +1,115 @@
+#!/usr/bin/env python3
+"""Record benchmark runs of one checkout in a BENCH_<n>.json file.
+
+Usage (from the root of any checkout):
+
+    python3 scripts/bench.py --checkout ../parent --label parent \\
+        --workload operators --seed 9101 9102 --out BENCH_9.json
+
+Each seed is one run of perfbench/run.py in the named checkout, with
+--seconds 30 and --trace 0 on every run.  The run's `env` line and its
+last line, the result, are merged into --out under the label (parent or
+change) and the workload, so a paired comparison alternates calls with
+the two labels on one file.  After every merge the file's summary
+gives, per label and workload, the median and quartiles of each
+end-to-end metric over the runs recorded so far.  Every run must
+report the same Python version, gmpy2 status and CPU count as the runs
+already in the file: numbers from different machines do not belong in
+one record.  A run must also name its commit, so the checkout has to be
+a git clone, not a bare copy.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+END_TO_END = ("verdict_s", "cpu_s", "peak_rss_mb", "setup_s")
+ENVIRONMENT = ("python", "gmpy2", "cpus")
+SECONDS = 30
+
+
+def run_once(checkout: Path, workload: str, seed: int) -> str:
+    """Standard output of one untraced benchmark run in checkout."""
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload,
+         "--seed", str(seed), "--seconds", str(SECONDS), "--trace", "0"],
+        cwd=checkout, capture_output=True, text=True, check=False)
+    if proc.returncode != 0:
+        raise RuntimeError(f"benchmark run failed ({proc.returncode}):\n"
+                           f"{proc.stderr.strip()}")
+    return proc.stdout
+
+
+def parse_run(stdout: str) -> dict:
+    """The env line and the result line of one run's output."""
+    lines = stdout.strip().splitlines()
+    env = [line[4:] for line in lines if line.startswith("env ")]
+    if len(env) != 1 or not lines[-1].startswith("{"):
+        raise ValueError("output is not that of one perfbench/run.py run")
+    return {"env": json.loads(env[0]), "result": json.loads(lines[-1])}
+
+
+def quartiles(values: list) -> dict:
+    """Median and quartiles; one value is its own quartiles."""
+    if len(values) == 1:
+        q1 = q3 = values[0]
+    else:
+        q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": statistics.median(values), "q1": q1, "q3": q3,
+            "n": len(values)}
+
+
+def merge(record: dict, label: str, workload: str, run: dict) -> dict:
+    """Add one parsed run to record and recompute its summary."""
+    if run["env"].get("commit") is None:
+        raise ValueError("run names no commit; run a git checkout")
+    env = {key: run["env"][key] for key in ENVIRONMENT}
+    known = record.setdefault("environment", env)
+    if known != env:
+        raise ValueError(f"run environment {env} differs from the "
+                         f"record's {known}")
+    runs = record.setdefault("runs", {}).setdefault(label, {}).setdefault(
+        workload, [])
+    runs.append(run)
+    summary = record.setdefault("summary", {}).setdefault(label, {})
+    summary[workload] = {
+        "attempted": sum(r["result"]["attempted"] for r in runs),
+        "failed": sum(r["result"]["failed"] for r in runs),
+        **{name: quartiles([r["result"]["metrics"][name]["value"]
+                            for r in runs])
+           for name in END_TO_END},
+    }
+    return record
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--checkout", type=Path, default=ROOT,
+                        help="root of the checkout to run (default: this one)")
+    parser.add_argument("--label", required=True, choices=("parent", "change"))
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--seed", type=int, nargs="+", required=True)
+    parser.add_argument("--out", type=Path, required=True)
+    args = parser.parse_args(argv)
+
+    record = json.loads(args.out.read_text()) if args.out.exists() else {}
+    for seed in args.seed:
+        run = parse_run(run_once(args.checkout, args.workload, seed))
+        merge(record, args.label, args.workload, run)
+        # written after every run, so an interrupted series keeps its runs
+        args.out.write_text(json.dumps(record, indent=1, sort_keys=True)
+                            + "\n")
+        verdict = run["result"]["metrics"]["verdict_s"]["value"]
+        print(f"{args.label} {args.workload} seed {seed}: "
+              f"verdict_s {verdict:.4g}")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

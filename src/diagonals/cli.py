@@ -197,6 +197,7 @@ def _t_symbolic_vs_ordinary(opts: dict) -> dict:
 
 def _t_dunkl(opts: dict) -> dict:
     seed, per = opts["seed"], opts["samples"]
+    budget = Budget.from_env()
     ok = True
     cells = []
     for name in ("A2", "B2", "G2"):
@@ -204,6 +205,7 @@ def _t_dunkl(opts: dict) -> dict:
         n = W.ambient
         axes = [tuple(int(i == j) for j in range(n)) for i in range(n)]
         for c in opts["c_values"]:
+            budget.check("dunkl samples")
             rng = _rng(seed, f"dunkl:{name}:{c}")
             samples = [_dunkl_sample(rng, n) for _ in range(per)]
             fs = [f for f, _, _ in samples]
@@ -211,6 +213,7 @@ def _t_dunkl(opts: dict) -> dict:
             for i, j in itertools.combinations(range(n), 2):
                 cell_ok &= check_commutativity(W, c, fs, axes[i], axes[j])
             for f, v, xi in samples:
+                budget.check("dunkl samples")
                 cell_ok &= check_defining_relation(W, c, xi, v, [f])
                 if not c:
                     # at c = 0 the operator is the directional derivative

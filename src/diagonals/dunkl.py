@@ -14,6 +14,12 @@ relation with multiplication by a linear form xi(x) is
 with honest coroots alpha_check = 2 alpha / (alpha, alpha); again each
 product <v, alpha><alpha_check, xi> is insensitive to root rescaling.
 
+T_v is linear, so it acts as a map on monomials: T_v f accumulates the
+images of f's terms.  Each operator memoises T_v m, and the divided
+difference (m - s_alpha m) / alpha(x) of each monomial for each positive
+root is memoised per group, so operators with other directions or
+parameters share that work.
+
 The second half of the module is a tiny noncommutative calculus for the
 rank-one case: operators are finite sums  L(x) d^m s^eps  with Laurent
 polynomial coefficients, composed through the rules  s x = -x s  and
@@ -24,6 +30,7 @@ the rank-one operator symbolically against their action on polynomials.
 from __future__ import annotations
 
 import math
+import weakref
 from typing import Sequence
 
 from .linalg import mat_vec
@@ -34,17 +41,36 @@ from .polyring import (
     RingContextError,
     ZERO,
     exact_divide_linear,
-    partial_derivative,
 )
 from .weyl import WeylGroup
 
 
 def _dot(a: Sequence, b: Sequence):
-    return sum((QQ(x) * QQ(y) for x, y in zip(a, b)), ZERO)
+    """Sum of products of ints and rationals, as a rational."""
+    return sum((x * y for x, y in zip(a, b)), ZERO)
 
 
-def _is_x_only(f: Polynomial, n: int) -> bool:
-    return all(not any(m[n:]) for m in f.terms)
+# per group, the divided difference of each (root index, monomial)
+_DIVIDED: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def divided_difference(W: WeylGroup, k: int, m: tuple) -> dict:
+    """(m - s_k m) / alpha_k(x) for the k-th positive root, as a term map.
+
+    alpha_k is taken in its primitive integer form.  Results are memoised
+    per group and shared between callers, which must not mutate them.
+    The first computation divides exactly, so a quotient that is not a
+    polynomial raises ExactDivisionError.
+    """
+    memo = _DIVIDED.setdefault(W, {})
+    got = memo.get((k, m))
+    if got is None:
+        f = Polynomial(len(m), {m: ONE})
+        prim = W.root_system.pair_forms()[k]
+        diff = f - W.act(W.reflections[k], f)
+        got = exact_divide_linear(diff, Polynomial.linear_form(len(m), prim))
+        got = memo[k, m] = got.terms
+    return got
 
 
 class DunklOperator:
@@ -57,32 +83,49 @@ class DunklOperator:
         self.W = W
         self.c = QQ(c)
         self.direction = tuple(QQ(d) for d in direction)
-        rs = W.root_system
-        self._terms = []
         # each summand is scale-invariant in the root, so the primitive form
         # can stand in for alpha in both the weight and the divisor
-        for k, prim in enumerate(rs.pair_forms()):
-            weight = _dot(prim, self.direction)
-            if not weight:
-                continue
-            refl = rs.reflection(rs.positive_roots[k])
-            xform = Polynomial.linear_form(2 * n, list(prim) + [0] * n)
-            self._terms.append((weight, refl, xform))
+        self._weights = []
+        if self.c:
+            for k, prim in enumerate(W.root_system.pair_forms()):
+                weight = _dot(prim, self.direction)
+                if weight:
+                    self._weights.append((k, self.c * weight))
+        self._images: dict = {}
+
+    def _image(self, m: tuple) -> dict:
+        """T_v m = d_v m - c * sum_k <alpha_k, v> divided_difference(k, m)."""
+        got = self._images.get(m)
+        if got is not None:
+            return got
+        if any(m[self.W.ambient:]):
+            raise ValueError("operator acts on x-block polynomials only")
+        got = {}
+        for i, d in enumerate(self.direction):
+            if d and m[i]:
+                got[m[:i] + (m[i] - 1,) + m[i + 1:]] = d * m[i]
+        for k, weight in self._weights:
+            for q, a in divided_difference(self.W, k, m).items():
+                s = got.get(q, ZERO) - weight * a
+                if s:
+                    got[q] = s
+                else:
+                    del got[q]
+        self._images[m] = got
+        return got
 
     def __call__(self, f: Polynomial) -> Polynomial:
-        n = self.W.ambient
-        if f.nvars != 2 * n:
+        if f.nvars != 2 * self.W.ambient:
             raise RingContextError("operator lives on the doubled ring")
-        if not _is_x_only(f, n):
-            raise ValueError("operator acts on x-block polynomials only")
-        out = partial_derivative(f, self.direction + (0,) * n)
-        if not self.c:
-            return out
-        for weight, refl, xform in self._terms:
-            diff = f - self.W.act(refl, f)
-            if diff:
-                out = out - self.c * weight * exact_divide_linear(diff, xform)
-        return out
+        out: dict = {}
+        for m, c in f.terms.items():
+            for q, a in self._image(m).items():
+                s = out.get(q, ZERO) + c * a
+                if s:
+                    out[q] = s
+                else:
+                    del out[q]
+        return Polynomial(f.nvars, out)
 
 
 def coordinate_operators(W: WeylGroup, c) -> list:
@@ -108,14 +151,14 @@ def commutation_rhs(W: WeylGroup, c, direction: Sequence, xi: Sequence,
     out = _dot(direction, xi) * f
     if not c:
         return out
-    for alpha in rs.positive_roots:
+    for alpha, refl in zip(rs.positive_roots, W.reflections):
         w1 = _dot(direction, alpha)
         if not w1:
             continue
         w2 = _dot(rs.coroot(alpha), xi)
         if not w2:
             continue
-        out = out - c * w1 * w2 * W.act(rs.reflection(alpha), f)
+        out = out - c * w1 * w2 * W.act(refl, f)
     return out
 
 

@@ -172,7 +172,7 @@ class WeylGroup:
     def __init__(self, rs: RootSystem):
         self.root_system = rs
         self.ambient = rs.ambient
-        gens = [rs.reflection(a) for a in rs.generator_roots]
+        self.generators = tuple(rs.reflection(a) for a in rs.generator_roots)
         eye = identity(rs.ambient)
         elements = [eye]
         seen = {eye}
@@ -180,7 +180,7 @@ class WeylGroup:
         while frontier:
             new = []
             for w in frontier:
-                for g in gens:
+                for g in self.generators:
                     wg = mat_mul(w, g)
                     if wg not in seen:
                         seen.add(wg)
@@ -219,6 +219,12 @@ class WeylGroup:
         # the distinct pairs they hold
         self.projection_memo: dict = {True: {}, False: {}}
         self._projection_pairs: dict = {}
+
+    @functools.cached_property
+    def reflections(self) -> tuple:
+        """s_alpha of each positive root, in the root system's order."""
+        rs = self.root_system
+        return tuple(rs.reflection(a) for a in rs.positive_roots)
 
     @functools.cached_property
     def _monomial_action(self) -> tuple:
@@ -280,9 +286,7 @@ class WeylGroup:
     # -- predicates --------------------------------------------------------------
 
     def is_invariant(self, f: Polynomial) -> bool:
-        return all(self.act(self.root_system.reflection(a), f) == f
-                   for a in self.root_system.generator_roots)
+        return all(self.act(s, f) == f for s in self.generators)
 
     def is_alternating(self, f: Polynomial) -> bool:
-        return all(self.act(self.root_system.reflection(a), f) == -f
-                   for a in self.root_system.generator_roots)
+        return all(self.act(s, f) == -f for s in self.generators)

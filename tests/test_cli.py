@@ -137,6 +137,33 @@ class TestExitCodes:
         assert code == 2
         assert out.startswith("ABORT")
 
+    def test_dunkl_target_checks_the_budget(self, capsys, monkeypatch):
+        monkeypatch.setenv("DIAGONALS_MAX_SECONDS", "1e-9")
+        code, out = run(capsys, ["verify", "dunkl", "--samples", "40",
+                                 "--format", "json"])
+        assert code == 2
+        assert json.loads(out)["details"] == {
+            "reason": "time limit in dunkl samples"}
+
+    def test_dunkl_target_checks_before_each_cell_and_sample(
+            self, monkeypatch):
+        layers = []
+
+        class Recorder:
+            @classmethod
+            def from_env(cls):
+                return cls()
+
+            def check(self, layer, basis_size=None):
+                layers.append(layer)
+
+        monkeypatch.setattr(cli, "Budget", Recorder)
+        result = cli.run_target("dunkl", {"seed": 0, "samples": 2,
+                                          "c_values": [0, 1]})
+        assert result["ok"]
+        # 3 types x 2 parameters, each a cell check plus one per sample
+        assert layers == ["dunkl samples"] * (3 * 2 * (1 + 2))
+
     def test_budget_abort_reports_a_basis_size_only_when_known(
             self, monkeypatch):
         for size, details in ((None, {"reason": "time limit in x"}),

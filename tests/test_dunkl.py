@@ -8,6 +8,7 @@ from diagonals.dunkl import (
     check_defining_relation,
     commutation_rhs,
     coordinate_operators,
+    divided_difference,
     equivariant_transport,
     multiplication_commutator,
     r1_apply,
@@ -23,9 +24,11 @@ from diagonals.dunkl import (
 )
 from diagonals.groebner import _extend
 from diagonals.polyring import (
+    ExactDivisionError,
     ONE,
     Polynomial,
     QQ,
+    exact_divide_linear,
     partial_derivative,
     random_polynomial,
 )
@@ -158,6 +161,77 @@ class TestShape:
                    for _ in range(5)]
         assert check_commutativity(W, QQ(1, 2), samples, (1, 0), (0, 1))
         assert check_defining_relation(W, QQ(3, 7), (1, -1), (0, 1), samples)
+
+
+def direct_dunkl(W: WeylGroup, c, v, f: Polynomial) -> Polynomial:
+    """T_v f by the whole-polynomial formula, the reference for the
+    monomial-by-monomial operator: d_v f - c sum <alpha, v> (f - s f)/alpha."""
+    n = W.ambient
+    rs = W.root_system
+    out = partial_derivative(f, tuple(v) + (0,) * n)
+    for alpha, prim in zip(rs.positive_roots, rs.pair_forms()):
+        weight = sum(QQ(a) * QQ(b) for a, b in zip(prim, v))
+        diff = f - W.act(rs.reflection(alpha), f)
+        if weight and diff:
+            xform = Polynomial.linear_form(2 * n, prim)
+            out = out - QQ(c) * weight * exact_divide_linear(diff, xform)
+    return out
+
+
+class TestAgainstDirectFormula:
+    # every parameter runs on one group, with the same directions, so a
+    # memo that ignored the parameter, the root or the direction would
+    # hand one operator another's images
+    @pytest.mark.parametrize("name", ["A2", "B2", "G2", "B3"])
+    def test_single_and_composed(self, name):
+        W = group(name)
+        n = W.ambient
+        rng = random.Random(f"direct:{name}")
+        v1 = tuple(int(i == 0) for i in range(n))
+        v2 = tuple(rng.choice((-2, -1, 1, 2)) for _ in range(n))
+        for c in (QQ(0), QQ(1, 2), QQ(1), QQ(3, 7), QQ(-2)):
+            D1, D2 = DunklOperator(W, c, v1), DunklOperator(W, c, v2)
+            for _ in range(3):
+                f = _extend(random_polynomial(rng, n, 5, 6), n)
+                assert D1(f) == direct_dunkl(W, c, v1, f)
+                assert D2(f) == direct_dunkl(W, c, v2, f)
+                assert D1(D2(f)) == direct_dunkl(
+                    W, c, v1, direct_dunkl(W, c, v2, f))
+
+
+class TestDividedDifferences:
+    def test_shared_by_operators_on_one_group(self, monkeypatch):
+        W = group("G2")
+        rng = random.Random(608)
+        f = _extend(random_polynomial(rng, 3, 5, 6), 3)
+        # (3, 1, 0) pairs to nonzero with every positive root of G2
+        first = DunklOperator(W, QQ(1, 2), (3, 1, 0))(f)
+        assert first == direct_dunkl(W, QQ(1, 2), (3, 1, 0), f)
+        expect = direct_dunkl(W, QQ(-2), (2, 1, 1), f)
+
+        def no_action(w, g):
+            raise AssertionError("divided difference computed again")
+
+        # another direction and parameter reuse the group's memo
+        monkeypatch.setattr(W, "act", no_action)
+        assert DunklOperator(W, QQ(-2), (2, 1, 1))(f) == expect
+
+    def test_inexact_quotient_raises_and_is_not_memoised(self, monkeypatch):
+        W = group("B2")
+        y1 = (0, 0, 1, 0)
+        with pytest.raises(ExactDivisionError):
+            divided_difference(W, 0, y1)
+        acts = []
+
+        def recording_act(w, g, act=W.act):
+            acts.append(w)
+            return act(w, g)
+
+        # a second call must act again rather than find a stored quotient
+        monkeypatch.setattr(W, "act", recording_act)
+        with pytest.raises(ExactDivisionError):
+            divided_difference(W, 0, y1)
+        assert len(acts) == 1
 
 
 class TestRankOneSymbols:

@@ -1,6 +1,10 @@
+import importlib.util
+import json
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -15,3 +19,80 @@ def test_b3_discrepancy_sweep_prints_relation_and_witness():
     assert "relation: left-strictly-contained" in lines
     at = lines.index("witness (6 terms, primitive):")
     assert lines[at + 1].startswith("x2*x3^2*y1^2*y2 - ")
+
+
+def _canned_run(seed: int, verdict: float, failed: int = 0) -> str:
+    """Output of perfbench/run.py in the shape it prints, no benchmark run."""
+    env = {"cpus": 2, "gmpy2": False, "python": "3.11.7", "seed": seed,
+           "commit": "5805fad", "qq": "fractions.Fraction"}
+    metrics = {name: {"value": value, "unit": unit} for name, value, unit in (
+        ("setup_s", 0.2, "s"), ("verdict_s", verdict, "s"),
+        ("cpu_s", verdict - 0.01, "s"), ("peak_rss_mb", 21.0, "MB"))}
+    return "\n".join([
+        "env " + json.dumps(env, sort_keys=True),
+        "passes 3 verdict_s each [1.0] target seeds [1]",
+        "fail_rate 0 ratio (0 of 6 checks)",
+        "verdict_s 1.4 s",
+        json.dumps({"correct": not failed, "attempted": 6, "failed": failed,
+                    "metrics": metrics}),
+    ]) + "\n"
+
+
+def _load_bench():
+    spec = importlib.util.spec_from_file_location(
+        "bench", SCRIPTS / "bench.py")
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    return bench
+
+
+def test_bench_merges_runs_and_summarises_each_label(tmp_path, monkeypatch):
+    bench = _load_bench()
+    # seeds 1-3 run on the parent side, 11-13 on the change side; the
+    # run at seed 3 fails one check
+    verdicts = {1: 4.0, 11: 1.5, 2: 5.0, 12: 1.4, 3: 6.0, 13: 1.6}
+    monkeypatch.setattr(bench, "run_once", lambda checkout, workload, seed:
+                        _canned_run(seed, verdicts[seed],
+                                    failed=int(seed == 3)))
+    out = tmp_path / "BENCH_1.json"
+    for seed in (1, 2, 3):
+        for label, run_seed in (("parent", seed), ("change", seed + 10)):
+            assert bench.main(["--label", label, "--workload", "operators",
+                               "--seed", str(run_seed),
+                               "--out", str(out)]) == 0
+    record = json.loads(out.read_text())
+    assert record["environment"] == {"python": "3.11.7", "gmpy2": False,
+                                     "cpus": 2}
+    assert [r["env"]["seed"] for r in record["runs"]["parent"]["operators"]] \
+        == [1, 2, 3]
+    parent = record["summary"]["parent"]["operators"]
+    assert parent["verdict_s"] == {"median": 5.0, "q1": 4.5, "q3": 5.5,
+                                   "n": 3}
+    assert (parent["attempted"], parent["failed"]) == (18, 1)
+    change = record["summary"]["change"]["operators"]
+    assert change["verdict_s"]["median"] == 1.5
+    assert change["peak_rss_mb"] == {"median": 21.0, "q1": 21.0,
+                                     "q3": 21.0, "n": 3}
+
+
+def test_bench_refuses_a_run_from_another_environment():
+    bench = _load_bench()
+    record = bench.merge({}, "parent", "operators",
+                         bench.parse_run(_canned_run(1, 4.0)))
+    other = bench.parse_run(_canned_run(2, 4.0).replace('"cpus": 2',
+                                                        '"cpus": 8'))
+    with pytest.raises(ValueError, match="differs"):
+        bench.merge(record, "change", "operators", other)
+
+
+def test_bench_refuses_a_run_without_a_commit():
+    bench = _load_bench()
+    run = bench.parse_run(_canned_run(1, 4.0).replace('"5805fad"', "null"))
+    with pytest.raises(ValueError, match="commit"):
+        bench.merge({}, "change", "operators", run)
+
+
+def test_bench_rejects_output_without_a_result_line():
+    bench = _load_bench()
+    with pytest.raises(ValueError):
+        bench.parse_run("benchmark could not run: no toolkit\n")
