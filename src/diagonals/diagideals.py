@@ -35,11 +35,9 @@ from .polyring import (
     GREVLEX,
     ONE,
     Polynomial,
-    QQ,
-    ZERO,
     monomials_of_bidegree,
 )
-from .weyl import RootSystem, WeylGroup
+from .weyl import RootSystem, WeylGroup, orbit_projection
 
 # ---------------------------------------------------------------------------
 # pair ideals and their intersections
@@ -106,69 +104,18 @@ def primitive_part(f: Polynomial) -> Polynomial:
     return Polynomial(f.nvars, {m: c for _, m, c in g})
 
 
-def orbit_projection(W: WeylGroup, mono: tuple, signed: bool):
-    """(H-orbit representative of mono, its coefficient in the H-average).
-
-    H is the subgroup of monomial matrices of W: all of W for every type
-    but G2, the six permutation matrices for G2.  H maps a monomial to
-    a scaled monomial, so the (signed) H-average of mono lives on the
-    H-orbit of mono, whose largest monomial is the representative.  An
-    H-(anti)invariant is determined by its coefficients on the
-    representatives.  Results are memoised in W.projection_memo[signed].
-    """
-    memo = W.projection_memo[signed]
-    got = memo.get(mono)
-    if got is not None:
-        return got
-    acc: dict = {}
-    for sub, sign in W._monomial_action:
-        image, scale = sub.monomial_image(mono)
-        if signed and sign < 0:
-            scale = -scale
-        acc[image] = acc.get(image, 0) + scale
-    rep = max(acc)
-    out = (rep, QQ(acc[rep], len(W._monomial)))
-    # the monomials of an orbit mostly share one pair; storing each distinct
-    # pair once measurably lowers peak memory on G2
-    out = memo[mono] = W._projection_pairs.setdefault(out, out)
-    return out
-
-
-def _compressed_row(W: WeylGroup, f: Polynomial, signed: bool) -> dict:
-    """Coefficients of the (signed) W-average of f on H-orbit representatives,
-    up to a constant factor.
-
-    W is the disjoint union of the cosets H*r^-1 over the coset
-    representatives r, so the W-average of f is a constant times the
-    H-average of g = sum_r (+-) r^-1 f, and the row holds that H-average's
-    coefficients on the representatives (see orbit_projection).  They
-    determine the average, so rows of several f have the rank of their
-    averages, while being |H| times narrower.
-    """
-    row: dict = {}
-    for rinv in W._coset_inverses:
-        flip = signed and W.signs[rinv] < 0
-        for m, c in W.act(rinv, f).terms.items():
-            rep, coeff = orbit_projection(W, m, signed)
-            if not coeff:
-                continue
-            s = row.get(rep, ZERO) + (-c if flip else c) * coeff
-            if s:
-                row[rep] = s
-            else:
-                del row[rep]
-    return row
-
-
-def alternant_basis(W: WeylGroup, a: int, b: int) -> list:
+def alternant_basis(W: WeylGroup, a: int, b: int,
+                    budget: Budget | None = None) -> list:
     """Basis of the alternating polynomials of bidegree (a, b).
 
     The candidates are the monomials that are their own H-orbit
     representative with a nonzero signed H-average coefficient (H as in
     orbit_projection); other monomials of an orbit have proportional
-    averages.  A candidate is kept when its compressed row is independent
-    of the rows kept before it, and contributes its antisymmetrization,
-    made primitive.  When H = W every candidate is kept.
+    averages.  A candidate is kept when its averaged row (see
+    WeylGroup.average_row) is independent of the rows kept before it, and
+    contributes its antisymmetrization, made primitive.  When H = W every
+    candidate is kept.  The budget, when given, is checked before each
+    candidate's row.
     """
     nvars = 2 * W.ambient
     ech = RowEchelon()
@@ -177,8 +124,10 @@ def alternant_basis(W: WeylGroup, a: int, b: int) -> list:
         rep, coeff = orbit_projection(W, m, True)
         if rep != m or not coeff:
             continue
+        if budget is not None:
+            budget.check("alternants")
         single = Polynomial(nvars, {m: ONE})
-        if ech.add(_compressed_row(W, single, True)):
+        if ech.add(W.average_row(single, True)):
             out.append(primitive_part(W.antisymmetrize(single)))
     return out
 
@@ -195,7 +144,7 @@ def ideal_J(W: WeylGroup, I: Ideal, max_degree: int,
     """
     return minimal_generators(
         lambda d: [g for a in range(d, -1, -1)
-                   for g in alternant_basis(W, a, d - a)],
+                   for g in alternant_basis(W, a, d - a, budget)],
         I, max_degree, budget)
 
 
@@ -212,7 +161,7 @@ def _image_rank(W: WeylGroup, rows, signed: bool,
     for f in rows:
         if budget is not None:
             budget.check("averaged images")
-        ech.add(_compressed_row(W, f, signed))
+        ech.add(W.average_row(f, signed))
     return ech.rank
 
 
@@ -221,13 +170,14 @@ def invariant_image_dim(W: WeylGroup, I: Ideal, d: int, signed: bool = False,
     """dim of the space of (anti)symmetrized elements of the degree-d piece."""
     if I.nvars != 2 * W.ambient:
         raise ValueError("ideal does not live on the doubled space")
-    return _image_rank(W, graded_basis(I, d), signed, budget)
+    return _image_rank(W, graded_basis(I, d, budget), signed, budget)
 
 
 def averaged_multiple_dim(W: WeylGroup, multiplier: Polynomial, I: Ideal,
                           k: int, budget: Budget | None = None) -> int:
     """dim of e(multiplier * I_k), the symmetrized multiplier-shifted piece."""
-    return _image_rank(W, (multiplier * b for b in graded_basis(I, k)),
+    return _image_rank(W, (multiplier * b
+                           for b in graded_basis(I, k, budget)),
                        False, budget)
 
 

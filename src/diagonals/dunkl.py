@@ -42,12 +42,7 @@ from .polyring import (
     ZERO,
     exact_divide_linear,
 )
-from .weyl import WeylGroup
-
-
-def _dot(a: Sequence, b: Sequence):
-    """Sum of products of ints and rationals, as a rational."""
-    return sum((x * y for x, y in zip(a, b)), ZERO)
+from .weyl import WeylGroup, _dot
 
 
 # per group, the divided difference of each (root index, monomial)

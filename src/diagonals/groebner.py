@@ -621,12 +621,13 @@ def minimal_generator_counts(I: Ideal, max_degree: int,
     return degree_counts(kept, max_degree)
 
 
-def nf_monomial_table(I: Ideal, d: int) -> dict:
+def nf_monomial_table(I: Ideal, d: int, budget: Budget | None = None) -> dict:
     """Normal forms of every degree-d monomial against the reduced basis.
 
     Dynamic programming over the order: reducing a monomial rewrites it as
     a combination of strictly smaller monomials of the same degree, so one
     ascending pass fills the table.  Returns mono -> {standard mono: QQ}.
+    A budget, when given, is checked every 256 monomials.
     """
     keyf = I.order.key
     entries = []
@@ -636,7 +637,9 @@ def nf_monomial_table(I: Ideal, d: int) -> dict:
         lc = g[0][2]
         entries.append((g[0][1], [(m, QQ(-c, lc)) for _, m, c in g[1:]]))
     table: dict = {}
-    for m in sorted(monomials_of_degree(I.nvars, d), key=keyf):
+    for i, m in enumerate(sorted(monomials_of_degree(I.nvars, d), key=keyf), 1):
+        if budget is not None and not i % 256:
+            budget.check("normal-form tables")
         for lead, tail in entries:
             if _divides(lead, m):
                 break
@@ -657,10 +660,11 @@ def nf_monomial_table(I: Ideal, d: int) -> dict:
     return table
 
 
-def graded_basis(I: Ideal, d: int) -> list:
+def graded_basis(I: Ideal, d: int, budget: Budget | None = None) -> list:
     """Triangular basis of the ideal's degree-d piece: w - NF(w) per lead w,
-    a degree-d monomial that is not its own normal form."""
-    table = nf_monomial_table(I, d)
+    a degree-d monomial that is not its own normal form.  The budget, when
+    given, bounds the normal-form table."""
+    table = nf_monomial_table(I, d, budget)
     out = []
     for w in monomials_of_degree(I.nvars, d):
         nf = table[w]

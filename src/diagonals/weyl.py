@@ -10,12 +10,17 @@ The group acts on the doubled polynomial ring in (x, y): x-coordinates
 transform by w^{-1} (functions pull back) and y-coordinates by w^T, the
 dual action.  Signs come from determinants, which agree with the sign
 character because every ambient realization here is reflection-faithful.
+
+Averages over W go through its subgroup H of monomial matrices: rows on
+H-orbit representatives (average_row), which symmetrize and
+antisymmetrize expand back over H.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -26,6 +31,7 @@ MAX_GROUP = 10_000
 
 
 def _dot(a: Sequence, b: Sequence):
+    """Sum of products of ints and rationals, as a rational."""
     return sum((x * y for x, y in zip(a, b)), ZERO)
 
 
@@ -35,8 +41,6 @@ def _primitive_int_vector(v: Sequence) -> tuple:
     The sign pattern is preserved, so each form stays the literal positive
     root it came from.
     """
-    import math
-
     den = 1
     for c in v:
         den = math.lcm(den, int(QQ(c).denominator))
@@ -152,18 +156,12 @@ def root_system(family: str, rank: int = 0) -> RootSystem:
 
 
 EXPECTED_ORDER = {
-    "A": lambda r: _factorial(r + 1),
-    "B": lambda r: 2**r * _factorial(r),
-    "C": lambda r: 2**r * _factorial(r),
-    "D": lambda r: 2 ** (r - 1) * _factorial(r),
+    "A": lambda r: math.factorial(r + 1),
+    "B": lambda r: 2**r * math.factorial(r),
+    "C": lambda r: 2**r * math.factorial(r),
+    "D": lambda r: 2 ** (r - 1) * math.factorial(r),
     "G": lambda r: 12,
 }
-
-
-def _factorial(n: int) -> int:
-    import math
-
-    return math.factorial(n)
 
 
 class WeylGroup:
@@ -212,11 +210,10 @@ class WeylGroup:
             for h in self._monomial:
                 covered.add(mat_mul(w, h))
         # W is the disjoint union of the cosets r*H, and so of the H*r^-1
-        self._coset_reps = tuple(reps)
         self._coset_inverses = tuple(mat_inv(r) for r in reps)
-        assert len(self._coset_reps) * len(self._monomial) == self.order
-        # per-monomial orbit projections, filled lazily by consumers, and
-        # the distinct pairs they hold
+        assert len(self._coset_inverses) * len(self._monomial) == self.order
+        # per-monomial orbit projections, filled lazily, and the distinct
+        # pairs they hold
         self.projection_memo: dict = {True: {}, False: {}}
         self._projection_pairs: dict = {}
 
@@ -266,22 +263,48 @@ class WeylGroup:
         """e_-(f): sign-weighted average of the orbit."""
         return self._average(f, signed=True)
 
+    def average_row(self, f: Polynomial, signed: bool) -> dict:
+        """Coefficients on the H-orbit representatives (see orbit_projection)
+        of the H-average of g = sum_r (+-) r^-1 f, r over the coset
+        representatives.  W is the disjoint union of the cosets H*r^-1, so
+        that H-average is exactly |W|/|H| times the (signed) W-average of f.
+        The row determines it while being |H| times narrower: rows of
+        several f have the rank of their averages.
+        """
+        row: dict = {}
+        for rinv in self._coset_inverses:
+            flip = signed and self.signs[rinv] < 0
+            for m, c in self.act(rinv, f).terms.items():
+                rep, coeff = orbit_projection(self, m, signed)
+                if not coeff:
+                    continue
+                s = row.get(rep, ZERO) + (-c if flip else c) * coeff
+                if s:
+                    row[rep] = s
+                else:
+                    del row[rep]
+        return row
+
     def _average(self, f: Polynomial, signed: bool) -> Polynomial:
-        # sum over r*H: the monomial elements act first, since the reverse
-        # order was measured about 1.5x slower on G2
-        acc = Polynomial.zero(f.nvars)
-        for h in self._monomial:
-            img = self.act(h, f)
-            if signed and self.signs[h] < 0:
-                img = -img
-            acc = acc + img
-        total = Polynomial.zero(f.nvars)
-        for r in self._coset_reps:
-            img = self.act(r, acc)
-            if signed and self.signs[r] < 0:
-                img = -img
-            total = total + img
-        return total * QQ(1, self.order)
+        # the H-average of g is the sum of row[rep] / coeff(rep) times the
+        # H-average orbit_sum(rep) / |H| of rep, where |H| * coeff(rep) =
+        # orbit_sum(rep)[rep], and the W-average is that over #cosets
+        terms: dict = {}
+        for rep, c in self.average_row(f, signed).items():
+            orbit = self._orbit_sum(rep, signed)
+            c = c / (orbit[rep] * len(self._coset_inverses))
+            terms.update((m, c * k) for m, k in orbit.items())
+        return Polynomial(f.nvars, terms)
+
+    def _orbit_sum(self, mono: tuple, signed: bool) -> dict:
+        """sum over h in H of (+-) h.mono, as {monomial: int}."""
+        acc: dict = {}
+        for sub, sign in self._monomial_action:
+            image, scale = sub.monomial_image(mono)
+            if signed and sign < 0:
+                scale = -scale
+            acc[image] = acc.get(image, 0) + scale
+        return acc
 
     # -- predicates --------------------------------------------------------------
 
@@ -290,3 +313,26 @@ class WeylGroup:
 
     def is_alternating(self, f: Polynomial) -> bool:
         return all(self.act(s, f) == -f for s in self.generators)
+
+
+def orbit_projection(W: WeylGroup, mono: tuple, signed: bool):
+    """(H-orbit representative of mono, its coefficient in the H-average).
+
+    H is the subgroup of monomial matrices of W: all of W for every type
+    but G2, the six permutation matrices for G2.  H maps a monomial to
+    a scaled monomial, so the (signed) H-average of mono lives on the
+    H-orbit of mono, whose largest monomial is the representative.  An
+    H-(anti)invariant is determined by its coefficients on the
+    representatives.  Results are memoised in W.projection_memo[signed].
+    """
+    memo = W.projection_memo[signed]
+    got = memo.get(mono)
+    if got is not None:
+        return got
+    acc = W._orbit_sum(mono, signed)
+    rep = max(acc)
+    out = (rep, QQ(acc[rep], len(W._monomial)))
+    # the monomials of an orbit mostly share one pair; storing each distinct
+    # pair once measurably lowers peak memory on G2
+    out = memo[mono] = W._projection_pairs.setdefault(out, out)
+    return out

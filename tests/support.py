@@ -98,3 +98,12 @@ def span_graded_dim(gens: list[Polynomial], d: int) -> int:
             if prod and ech.add({mono: c for mono, c in prod.terms.items()}):
                 rank += 1
     return rank
+
+
+def naive_average(W, f: Polynomial, signed: bool) -> Polynomial:
+    """The (signed) W-average of f as the plain sum over every element."""
+    total = Polynomial.zero(f.nvars)
+    for w in W.elements:
+        img = W.act(w, f)
+        total = total + (W.sign(w) * img if signed else img)
+    return total * QQ(1, W.order)

@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from diagonals import cli, dunkl
-from diagonals.groebner import BudgetExceeded
+from diagonals.groebner import Budget, BudgetExceeded
 from diagonals.polyring import random_polynomial, to_string
 
 FIXTURE = Path(__file__).parent / "fixtures" / "cells_table_n3.tsv"
@@ -177,6 +177,28 @@ class TestExitCodes:
             assert result["aborted"] == "budget"
             assert result["details"] == details
 
+    @pytest.mark.parametrize("target, bound, layer", [
+        ("g2-ideal-equality", "4", "alternants"),
+        ("b3-invariant-images", "6", "normal-form tables"),
+    ])
+    def test_abort_in_alternants_or_tables_exits_two(
+            self, capsys, monkeypatch, target, bound, layer):
+        # a spent budget that only the named layer reads
+        class OnlyAt(Budget):
+            @classmethod
+            def from_env(cls):
+                return cls(max_seconds=0)
+
+            def check(self, name, basis_size=None):
+                if name == layer:
+                    super().check(name, basis_size)
+
+        monkeypatch.setattr(cli, "Budget", OnlyAt)
+        code, out = run(capsys, ["verify", target, "--degree-bound", bound,
+                                 "--format", "json"])
+        assert code == 2
+        assert json.loads(out)["details"] == {"reason": f"time limit in {layer}"}
+
     def test_unknown_target_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as stop:
             cli.main(["verify", "definitely-not-a-target"])
@@ -196,7 +218,6 @@ class TestExitCodes:
         ["verify", "g2-ideal-equality", "--degree-bound", "-1"],
         ["verify", "dunkl", "--samples", "0"],
         ["cells", "table", "--n", "-2"],
-        ["report", "--jobs", "0"],
     ])
     def test_out_of_range_count_is_usage_error(self, capsys, argv):
         with pytest.raises(SystemExit) as stop:

@@ -12,7 +12,6 @@ from diagonals.diagideals import (
     ideal_I,
     ideal_J,
     invariant_image_dim,
-    orbit_projection,
     pair_ideal_power,
     primitive_part,
     symbolic_power,
@@ -50,7 +49,8 @@ from diagonals.polyring import (
     to_string,
     variables,
 )
-from diagonals.weyl import WeylGroup, root_system
+from diagonals.weyl import WeylGroup, orbit_projection, root_system
+from support import naive_average
 
 
 def alternant_dim_oracle(W, a, b):
@@ -294,6 +294,15 @@ class TestAlternants:
                     if coeff:
                         assert rep == max(avg.terms)
 
+    def test_alternants_check_the_budget_per_candidate(self):
+        # a spent budget stops before the first candidate's row
+        W = WeylGroup(root_system("B2"))
+        assert alternant_basis(W, 2, 2)
+        with pytest.raises(BudgetExceeded) as info:
+            alternant_basis(W, 2, 2, Budget(max_seconds=0))
+        assert info.value.reason == "time limit in alternants"
+        assert info.value.basis_size is None
+
     def test_primitive_part(self):
         x1, x2, y1, y2 = variables(4)
         f = QQ(2, 3) * x1 - QQ(4, 3) * x2
@@ -347,8 +356,8 @@ class TestAveragedImages:
             assert len(dims) == 1
 
     def test_compressed_rows_match_full_averages_g2(self):
-        # reference: the rank of the full dense averages, with no orbit
-        # compression
+        # reference: the rank of the plain sums over the group, with no
+        # orbit compression
         rs = root_system("G2")
         W = WeylGroup(rs)
         I = ideal_I(rs)
@@ -357,14 +366,13 @@ class TestAveragedImages:
         for X, d in ((I, 3), (I, 4), (A, 2), (A, 3)):
             basis = graded_basis(X, d)
             for signed in (False, True):
-                average = W.antisymmetrize if signed else W.symmetrize
                 full = RowEchelon()
                 for b in basis:
-                    full.add(dict(average(b).terms))
+                    full.add(dict(naive_average(W, b, signed).terms))
                 assert invariant_image_dim(W, X, d, signed) == full.rank
             full = RowEchelon()
             for b in basis:
-                full.add(dict(W.symmetrize(delta * b).terms))
+                full.add(dict(naive_average(W, delta * b, False).terms))
             assert averaged_multiple_dim(W, delta, X, d) == full.rank
 
     def test_averaged_images_check_the_budget_per_row(self):

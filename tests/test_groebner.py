@@ -391,6 +391,17 @@ class TestBudget:
                                Budget(max_seconds=0))
         assert info.value.reason == "time limit in minimal generators"
 
+    def test_normal_form_tables_check_the_budget(self):
+        # 462 monomials of degree 6 in 6 variables: the clock is read at
+        # the 256th
+        I = Ideal(variables(6)[:2])
+        with pytest.raises(BudgetExceeded) as info:
+            nf_monomial_table(I, 6, Budget(max_seconds=0))
+        assert info.value.reason == "time limit in normal-form tables"
+        assert info.value.basis_size is None
+        with pytest.raises(BudgetExceeded):
+            graded_basis(I, 6, Budget(max_seconds=0))
+
     def test_env_override(self, monkeypatch):
         monkeypatch.setenv("DIAGONALS_MAX_SECONDS", "12.5")
         monkeypatch.setenv("DIAGONALS_MAX_BASIS", "77")

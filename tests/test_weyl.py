@@ -1,7 +1,9 @@
 import random
+from pathlib import Path
 
 import pytest
 
+import diagonals
 from diagonals.linalg import identity, mat, mat_mul
 from diagonals.polyring import (
     Polynomial,
@@ -12,6 +14,7 @@ from diagonals.polyring import (
     variables,
 )
 from diagonals.weyl import WeylGroup, root_system
+from support import naive_average
 
 
 def test_group_orders():
@@ -147,21 +150,19 @@ def test_averages_are_projections():
         assert W.antisymmetrize(e) == Polynomial.zero(2 * n)
 
 
-def test_average_matches_naive_sum():
-    for name in ("B2", "G2"):
-        W = WeylGroup(root_system(name))
-        n = W.ambient
-        rng = random.Random(9)
-        f = random_polynomial(rng, 2 * n, 3, 4)
-        naive_sym = Polynomial.zero(2 * n)
-        naive_alt = Polynomial.zero(2 * n)
-        for w in W.elements:
-            img = W.act(w, f)
-            naive_sym = naive_sym + img
-            naive_alt = naive_alt + W.sign(w) * img
-        scale = QQ(1, W.order)
-        assert W.symmetrize(f) == naive_sym * scale
-        assert W.antisymmetrize(f) == naive_alt * scale
+@pytest.mark.parametrize("name", ["A1", "A2", "B2", "B3", "C3", "D3", "G2"])
+def test_average_matches_naive_sum(name):
+    W = WeylGroup(root_system(name))
+    n = W.ambient
+    # x1^(2n-1) x2^(2n-3) ... xn has distinct odd exponents, so no signed
+    # permutation fixes it, and the signed average is not zero
+    stair = tuple(2 * (n - i) - 1 for i in range(n)) + (0,) * n
+    rng = random.Random(9)
+    f = random_polynomial(rng, 2 * n, 3, 4) + Polynomial(2 * n, {stair: 1})
+    alt = naive_average(W, f, True)
+    assert alt
+    assert W.symmetrize(f) == naive_average(W, f, False)
+    assert W.antisymmetrize(f) == alt
 
 
 # (f, e(f), e_-(f)) for G2, whose coset representatives act by dense
@@ -200,10 +201,22 @@ def test_g2_averages_match_recorded_values(text, sym, alt):
 def test_g2_coset_structure():
     W = WeylGroup(root_system("G2"))
     assert len(W._monomial) == 6
-    assert len(W._coset_reps) == 2
+    assert len(W._coset_inverses) == 2
     B = WeylGroup(root_system("B3"))
     assert len(B._monomial) == B.order
-    assert len(B._coset_reps) == 1
+    assert len(B._coset_inverses) == 1
+
+
+def test_averaging_state_stays_in_weyl():
+    # averaging over the group is weyl.py's job: no other module of the
+    # package reads the coset and orbit state it keeps
+    private = ("_monomial_action", "_coset_inverses", "_projection_pairs",
+               "projection_memo")
+    package = Path(diagonals.__file__).parent
+    readers = {p.name: [n for n in private if n in p.read_text()]
+               for p in package.glob("*.py")}
+    assert readers.pop("weyl.py") == list(private)
+    assert {name: found for name, found in readers.items() if found} == {}
 
 
 @pytest.mark.parametrize("name", ["A1", "A2", "B2", "B3", "C3", "D3", "G2"])
