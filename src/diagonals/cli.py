@@ -92,7 +92,8 @@ def _flag_inconclusive(result: dict, cmp) -> dict:
 
 
 def _same_piece(J, I, d: int) -> bool:
-    """Whether J_d = I_d, for J inside I: then their dimensions agree."""
+    """Whether J_d = I_d, for J inside I, so that every image of J_d is
+    that of I_d: the two pieces have the same dimension."""
     return J.graded_dim(d) == I.graded_dim(d)
 
 
