@@ -228,10 +228,13 @@ class Comparison:
 
 def _escapes(inner: Ideal, outer: Ideal):
     """Whether outer is not inside inner: True, False, or None when every
-    generator outside inner lies above inner's generated_up_to."""
+    generator outside inner lies above inner's generated_up_to.  inner's
+    budget, when it has one, is checked before each membership test."""
     bound = inner.generated_up_to
     found = False
     for g in outer.gens:
+        if inner.budget is not None:
+            inner.budget.check("comparison")
         if not inner.contains(g):
             if bound is None or g.total_degree() <= bound:
                 return True

@@ -418,6 +418,14 @@ class TestCompare:
         assert c.dims_left == (0, 1, 2, 3)
         assert c.dims_right == (0, 2, 3, 4)
 
+    def test_membership_tests_check_the_budget(self):
+        x, y = variables(2)
+        spent = Ideal([x], budget=Budget(max_seconds=0))
+        with pytest.raises(BudgetExceeded) as info:
+            compare(spent, Ideal([x, y]), 2)
+        assert info.value.reason == "time limit in comparison"
+        assert info.value.basis_size is None
+
     def test_bounds_recorded(self):
         W = WeylGroup(root_system("A", 1))
         I = ideal_I(W.root_system)
