@@ -16,7 +16,8 @@ end-to-end metric over the runs recorded so far.  Every run must
 report the same Python version, gmpy2 status and CPU count as the runs
 already in the file: numbers from different machines do not belong in
 one record.  A run must also name its commit, so the checkout has to be
-a git clone, not a bare copy.
+a git clone, not a bare copy, and every run under one label must name
+the same commit.
 """
 
 from __future__ import annotations
@@ -67,15 +68,20 @@ def quartiles(values: list) -> dict:
 
 def merge(record: dict, label: str, workload: str, run: dict) -> dict:
     """Add one parsed run to record and recompute its summary."""
-    if run["env"].get("commit") is None:
+    commit = run["env"].get("commit")
+    if commit is None:
         raise ValueError("run names no commit; run a git checkout")
     env = {key: run["env"][key] for key in ENVIRONMENT}
     known = record.setdefault("environment", env)
     if known != env:
         raise ValueError(f"run environment {env} differs from the "
                          f"record's {known}")
-    runs = record.setdefault("runs", {}).setdefault(label, {}).setdefault(
-        workload, [])
+    by_workload = record.setdefault("runs", {}).setdefault(label, {})
+    seen = {r["env"]["commit"] for rs in by_workload.values() for r in rs}
+    if seen and seen != {commit}:
+        raise ValueError(f"run commit {commit} differs from the {label} "
+                         f"runs' {sorted(seen)}")
+    runs = by_workload.setdefault(workload, [])
     runs.append(run)
     summary = record.setdefault("summary", {}).setdefault(label, {})
     summary[workload] = {

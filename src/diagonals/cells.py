@@ -72,21 +72,18 @@ def corners(p: Partition) -> list:
     return out
 
 
-def strip_removable(p: Partition, residues: Sequence = (0,),
-                    modulus: int = 2) -> Partition:
-    """One pass: drop every removable box whose content sits in residues."""
-    marked = set(int(r) % modulus for r in residues)
+def strip_removable(p: Partition) -> Partition:
+    """One pass: drop every removable box of even content."""
     rows = list(p)
     for r, c in corners(p):
-        if (c - r) % modulus in marked:
+        if (c - r) % 2 == 0:
             rows[r] -= 1
     return tuple(a for a in rows if a)
 
 
-def j_heart(p: Partition, residues: Sequence = (0,),
-            modulus: int = 2) -> Partition:
+def j_heart(p: Partition) -> Partition:
     while True:
-        q = strip_removable(p, residues, modulus)
+        q = strip_removable(p)
         if q == p:
             return p
         p = q

@@ -18,6 +18,7 @@ stay byte-identical.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import json
 import random
@@ -101,7 +102,7 @@ def _build_both(name: str, bound: int, budget: Budget):
     rs = root_system(name)
     W = WeylGroup(rs)
     I = ideal_I(rs, budget=budget)
-    return W, I, ideal_J(W, I, bound, budget=budget)
+    return W, I, ideal_J(W, I, bound)
 
 
 # ---------------------------------------------------------------------------
@@ -125,10 +126,9 @@ def _t_g2_ideal_equality(opts: dict) -> dict:
 
 def _t_b3_strict_inclusion(opts: dict) -> dict:
     bound = opts["bound"]
-    budget = Budget.from_env()
-    _, I, J = _build_both("B3", bound, budget)
+    _, I, J = _build_both("B3", bound, Budget.from_env())
     cmp = compare(J, I, bound)
-    counts_i = minimal_generator_counts(I, bound, budget)
+    counts_i = minimal_generator_counts(I, bound)
     counts_j = degree_counts(J.gens, bound)
     extra = {d: counts_i.get(d, 0) - counts_j.get(d, 0)
              for d in sorted(set(counts_i) | set(counts_j))
@@ -153,12 +153,9 @@ def _t_b3_strict_inclusion(opts: dict) -> dict:
 
 def _t_b3_invariant_images(opts: dict) -> dict:
     bound = opts["bound"]
-    budget = Budget.from_env()
-    W, I, J = _build_both("B3", bound, budget)
-    dims_i = [invariant_image_dim(W, I, d, budget=budget)
-              for d in range(bound + 1)]
-    dims_j = [dim if _same_piece(J, I, d)
-              else invariant_image_dim(W, J, d, budget=budget)
+    W, I, J = _build_both("B3", bound, Budget.from_env())
+    dims_i = [invariant_image_dim(W, I, d) for d in range(bound + 1)]
+    dims_j = [dim if _same_piece(J, I, d) else invariant_image_dim(W, J, d)
               for d, dim in enumerate(dims_i)]
     return {
         "ok": dims_i == dims_j,
@@ -275,15 +272,15 @@ def _t_delta_identity(opts: dict) -> dict:
             f = random_polynomial(rng, 2 * rs.ambient, 3, 4)
             identity_ok &= (W.symmetrize(delta * f)
                             == delta * W.antisymmetrize(f))
-        R = full_ring_ideal(2 * rs.ambient)
+        R = full_ring_ideal(2 * rs.ambient, budget)
         three_way = []
         agree = True
         for k in range(bound - deg + 1):
-            dim_i = averaged_multiple_dim(W, delta, I, k, budget)
+            dim_i = averaged_multiple_dim(W, delta, I, k)
             dims = [dim_i,
                     dim_i if _same_piece(J, I, k)
-                    else averaged_multiple_dim(W, delta, J, k, budget),
-                    averaged_multiple_dim(W, delta, R, k, budget)]
+                    else averaged_multiple_dim(W, delta, J, k),
+                    averaged_multiple_dim(W, delta, R, k)]
             three_way.append({"outputDegree": deg + k, "dims": dims})
             agree &= dims[0] == dims[1] == dims[2]
         ok &= identity_ok and agree
@@ -335,9 +332,12 @@ class _Parser(argparse.ArgumentParser):
 
 def _parse_c_list(text: str) -> list:
     try:
-        return [QQ(part.strip()) for part in text.split(",") if part.strip()]
+        values = [QQ(part.strip()) for part in text.split(",") if part.strip()]
     except (ValueError, ZeroDivisionError) as bad:
         raise argparse.ArgumentTypeError(f"bad rational list: {text}") from bad
+    if not values:
+        raise argparse.ArgumentTypeError(f"no rational in list: {text!r}")
+    return values
 
 
 def _int_from(low: int):
@@ -358,7 +358,14 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="diagonals", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def output(p):
+        p.add_argument("--n", type=_int_from(1), default=3,
+                       help="rank for partition tables")
+        p.add_argument("--format", choices=("text", "json"), default="text")
+        p.add_argument("--out", help="write the report to this file")
+
     def common(p):
+        output(p)
         p.add_argument("--degree-bound", type=_int_from(0),
                        default=DEFAULT_BOUND,
                        help="graded degree cutoff (default %(default)s); "
@@ -369,10 +376,6 @@ def build_parser() -> _Parser:
                        metavar="LIST", help=f"parameter values, default {DEFAULT_C}")
         p.add_argument("--samples", type=_int_from(1), default=9,
                        help="seeded samples per type/parameter cell")
-        p.add_argument("--n", type=_int_from(1), default=3,
-                       help="rank for partition tables")
-        p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--out", help="write the report to this file")
         p.add_argument("--timings", action="store_true",
                        help="include wall-clock seconds (breaks reproducibility)")
 
@@ -382,8 +385,7 @@ def build_parser() -> _Parser:
 
     cells = sub.add_parser("cells", help="partition combinatorics")
     cells_sub = cells.add_subparsers(dest="cells_command", required=True)
-    table = cells_sub.add_parser("table", help="print the labelled table")
-    common(table)
+    output(cells_sub.add_parser("table", help="print the labelled table"))
 
     common(sub.add_parser("report", help="run every verification target"))
     return parser
@@ -398,14 +400,6 @@ def _opts_from_args(args) -> dict:
         "c_values": args.c if args.c is not None else _parse_c_list(DEFAULT_C),
         "timings": args.timings,
     }
-
-
-def _emit(text: str, args) -> None:
-    if args.out:
-        with open(args.out, "w") as sink:
-            sink.write(text + "\n")
-    else:
-        print(text)
 
 
 def _result_lines(result: dict) -> list:
@@ -451,43 +445,51 @@ def _table_json(n: int) -> list:
     } for r in table_rows(n)]
 
 
-def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-
+def _run(args) -> tuple:
+    """(report text, exit code) of a parsed command."""
     if args.command == "cells":
         if args.format == "json":
-            _emit(json.dumps(_table_json(args.n), indent=2, sort_keys=True),
-                  args)
-        else:
-            _emit(_table_text(args.n), args)
-        return 0
+            return json.dumps(_table_json(args.n), indent=2,
+                              sort_keys=True), 0
+        return _table_text(args.n), 0
 
-    try:
-        Budget.from_env()
-    except ValueError as bad:
-        print(f"diagonals: error: {bad}", file=sys.stderr)
-        return 64
     opts = _opts_from_args(args)
     if args.command == "verify":
-        result = run_target(args.target, opts)
-        if args.format == "json":
-            _emit(json.dumps(result, indent=2, sort_keys=True), args)
-        else:
-            _emit("\n".join(_result_lines(result)), args)
-        return _exit_code([result])
-
-    # report: every target, fixed order
-    results = [run_target(name, opts) for name in sorted(TARGETS)]
-    if args.format == "json":
-        payload = {"ok": all(r["ok"] for r in results), "results": results}
-        _emit(json.dumps(payload, indent=2, sort_keys=True), args)
+        payload = run_target(args.target, opts)
+        results = [payload]
+        lines = _result_lines(payload)
     else:
-        lines = []
-        for r in results:
-            lines.extend(_result_lines(r))
-        lines.append("OK" if all(r["ok"] for r in results) else "NOT OK")
-        _emit("\n".join(lines), args)
-    return _exit_code(results)
+        # report: every target, fixed order
+        results = [run_target(name, opts) for name in sorted(TARGETS)]
+        payload = {"ok": all(r["ok"] for r in results), "results": results}
+        lines = [line for r in results for line in _result_lines(r)]
+        lines.append("OK" if payload["ok"] else "NOT OK")
+    code = _exit_code(results)
+    if args.format == "json":
+        return json.dumps(payload, indent=2, sort_keys=True), code
+    return "\n".join(lines), code
+
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
+    if args.command != "cells":
+        try:
+            Budget.from_env()
+        except ValueError as bad:
+            print(f"diagonals: error: {bad}", file=sys.stderr)
+            return 64
+    # the output opens before any target runs, so a bad path costs no run
+    try:
+        sink = (open(args.out, "w") if args.out
+                else contextlib.nullcontext(sys.stdout))
+    except OSError as bad:
+        print(f"diagonals: error: cannot write the report: {bad}",
+              file=sys.stderr)
+        return 64
+    with sink as out:
+        text, code = _run(args)
+        print(text, file=out)
+    return code
 
 
 if __name__ == "__main__":

@@ -72,7 +72,7 @@ def pair_ideal_power(rs: RootSystem, k: int, d: int,
 def ideal_I(rs: RootSystem, budget: Budget | None = None) -> Ideal:
     """Intersection of every pair ideal."""
     parts = [pair_ideal(rs, k, budget) for k in range(len(rs.positive_roots))]
-    return intersect_many(parts, budget=budget)
+    return intersect_many(parts)
 
 
 def symbolic_power(rs: RootSystem, d: int,
@@ -80,7 +80,7 @@ def symbolic_power(rs: RootSystem, d: int,
     """I^(d): intersection of the d-th powers of the pair ideals."""
     parts = [pair_ideal_power(rs, k, d, budget)
              for k in range(len(rs.positive_roots))]
-    return intersect_many(parts, budget=budget)
+    return intersect_many(parts)
 
 
 def discriminant(rs: RootSystem) -> Polynomial:
@@ -114,9 +114,11 @@ def alternant_basis(W: WeylGroup, a: int, b: int,
     averages.  A candidate is kept when its averaged row (see
     WeylGroup.average_row) is independent of the rows kept before it, and
     contributes its antisymmetrization, made primitive.  When H = W every
-    candidate is kept.  The budget, when given, is checked before each
-    candidate's row.
+    candidate is kept.  The budget, by default one read from the
+    environment, is checked before each candidate's row.
     """
+    if budget is None:
+        budget = Budget.from_env()
     nvars = 2 * W.ambient
     ech = RowEchelon()
     out = []
@@ -124,28 +126,27 @@ def alternant_basis(W: WeylGroup, a: int, b: int,
         rep, coeff = orbit_projection(W, m, True)
         if rep != m or not coeff:
             continue
-        if budget is not None:
-            budget.check("alternants")
+        budget.check("alternants")
         single = Polynomial(nvars, {m: ONE})
         if ech.add(W.average_row(single, True)):
             out.append(primitive_part(W.antisymmetrize(single)))
     return out
 
 
-def ideal_J(W: WeylGroup, I: Ideal, max_degree: int,
-            budget: Budget | None = None) -> Ideal:
+def ideal_J(W: WeylGroup, I: Ideal, max_degree: int) -> Ideal:
     """Ideal generated by the alternants of total degree <= max_degree.
 
     Its generators are a minimal set of alternants, picked degree by degree
     against the intersection ideal I, which holds them all, and its reduced
     basis is the one built along the way (see minimal_generators).  They
     are complete only up to max_degree, which the ideal records in
-    generated_up_to.
+    generated_up_to.  Alternant generation checks I's budget, which the
+    ideal keeps.
     """
     return minimal_generators(
         lambda d: [g for a in range(d, -1, -1)
-                   for g in alternant_basis(W, a, d - a, budget)],
-        I, max_degree, budget)
+                   for g in alternant_basis(W, a, d - a, I.budget)],
+        I, max_degree)
 
 
 # ---------------------------------------------------------------------------
@@ -153,37 +154,34 @@ def ideal_J(W: WeylGroup, I: Ideal, max_degree: int,
 # ---------------------------------------------------------------------------
 
 
-def _image_rank(W: WeylGroup, rows, signed: bool,
-                budget: Budget | None) -> int:
-    """Rank of the (signed) W-averages of rows; the budget, when given, is
-    checked once per row."""
+def _image_rank(W: WeylGroup, rows, signed: bool, budget: Budget) -> int:
+    """Rank of the (signed) W-averages of rows; the budget is checked once
+    per row."""
     ech = RowEchelon()
     for f in rows:
-        if budget is not None:
-            budget.check("averaged images")
+        budget.check("averaged images")
         ech.add(W.average_row(f, signed))
     return ech.rank
 
 
-def invariant_image_dim(W: WeylGroup, I: Ideal, d: int, signed: bool = False,
-                        budget: Budget | None = None) -> int:
+def invariant_image_dim(W: WeylGroup, I: Ideal, d: int,
+                        signed: bool = False) -> int:
     """dim of the space of (anti)symmetrized elements of the degree-d piece."""
     if I.nvars != 2 * W.ambient:
         raise ValueError("ideal does not live on the doubled space")
-    return _image_rank(W, graded_basis(I, d, budget), signed, budget)
+    return _image_rank(W, graded_basis(I, d), signed, I.budget)
 
 
 def averaged_multiple_dim(W: WeylGroup, multiplier: Polynomial, I: Ideal,
-                          k: int, budget: Budget | None = None) -> int:
+                          k: int) -> int:
     """dim of e(multiplier * I_k), the symmetrized multiplier-shifted piece."""
-    return _image_rank(W, (multiplier * b
-                           for b in graded_basis(I, k, budget)),
-                       False, budget)
+    return _image_rank(W, (multiplier * b for b in graded_basis(I, k)),
+                       False, I.budget)
 
 
-def full_ring_ideal(nvars: int) -> Ideal:
+def full_ring_ideal(nvars: int, budget: Budget | None = None) -> Ideal:
     """The unit ideal, whose degree-d basis is every monomial."""
-    return Ideal([Polynomial.constant(nvars, 1)], nvars=nvars)
+    return Ideal([Polynomial.constant(nvars, 1)], nvars=nvars, budget=budget)
 
 
 # ---------------------------------------------------------------------------
@@ -229,12 +227,11 @@ class Comparison:
 def _escapes(inner: Ideal, outer: Ideal):
     """Whether outer is not inside inner: True, False, or None when every
     generator outside inner lies above inner's generated_up_to.  inner's
-    budget, when it has one, is checked before each membership test."""
+    budget is checked before each membership test."""
     bound = inner.generated_up_to
     found = False
     for g in outer.gens:
-        if inner.budget is not None:
-            inner.budget.check("comparison")
+        inner.budget.check("comparison")
         if not inner.contains(g):
             if bound is None or g.total_degree() <= bound:
                 return True

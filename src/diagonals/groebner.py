@@ -178,8 +178,7 @@ def _combine(a: int, f: list, skip: int, h: list) -> list:
     return out
 
 
-def _g_nf(fg: list, basis: list, member_only: bool = False,
-          budget: Budget | None = None):
+def _g_nf(fg: list, basis: list, budget: Budget, member_only: bool = False):
     """Full normal form of a gpoly against a list of gpolys.
 
     Returns (r, scale): r is an integer gpoly in key order, not always
@@ -188,8 +187,8 @@ def _g_nf(fg: list, basis: list, member_only: bool = False,
     and strips its content, keeping input = work * den / scale modulo the
     basis with coprime positive integers scale and den; den moves into r at
     the end.  With member_only, returns None at the first irreducible term
-    (the input is then not in the ideal).  A budget, when given, is checked
-    every 256 steps.
+    (the input is then not in the ideal).  The budget is checked every 256
+    steps.
     """
     work = fg
     pos = 0
@@ -197,7 +196,7 @@ def _g_nf(fg: list, basis: list, member_only: bool = False,
     steps = 0
     while pos < len(work):
         steps += 1
-        if budget is not None and not steps % 256:
+        if not steps % 256:
             budget.check("reduction", len(basis))
         k, m, c = work[pos]
         for red in basis:
@@ -270,7 +269,7 @@ class _Basis:
     def add(self, g: list, sugar: int) -> bool:
         """Insert the normal form of gpoly g with the given sugar when it is
         nonzero; return whether it was inserted."""
-        r, _ = _g_nf(g, self.polys, budget=self.budget)
+        r, _ = _g_nf(g, self.polys, self.budget)
         if not r:
             return False
         self.polys.append(_primitive(r))
@@ -358,7 +357,7 @@ class _Basis:
         reduced: list = []
         for pos, g in enumerate(minimal):
             others = reduced + minimal[pos + 1:]
-            r, _ = _g_nf(g, others, budget=self.budget)
+            r, _ = _g_nf(g, others, self.budget)
             reduced.append(_primitive(r))
         return reduced
 
@@ -384,6 +383,11 @@ def _g_to_poly(g: list, nvars: int) -> Polynomial:
 class Ideal:
     """Finitely generated ideal with a cached reduced basis.
 
+    The ideal holds the budget of every computation on it: its basis, its
+    membership tests and the layers that take it as input.  With no budget
+    given it reads one from the environment, whose clock starts with the
+    ideal.
+
     generated_up_to, when set, records that the generator list is only
     trusted to span the ideal's graded pieces through that total degree;
     diagideals.compare then claims that another ideal is not inside this
@@ -404,7 +408,7 @@ class Ideal:
         self.gens = gens
         self.order = order
         self.generated_up_to = generated_up_to
-        self.budget = budget
+        self.budget = Budget.from_env() if budget is None else budget
         self._gb: tuple | None = None
         self._gbg: list | None = None
 
@@ -413,7 +417,7 @@ class Ideal:
     def groebner_basis(self) -> tuple:
         if self._gb is None:
             keyf = self.order.key
-            basis = _Basis(keyf, self.budget or Budget.from_env())
+            basis = _Basis(keyf, self.budget)
             for g in sorted((_to_g(g.terms, keyf) for g in self.gens),
                             key=lambda p: (p[0][0], p)):
                 basis.add(g, max(sum(m) for _, m, _ in g))
@@ -440,7 +444,7 @@ class Ideal:
         if not f:
             return f
         g = _to_g(f.terms, self.order.key)
-        r, scale = _g_nf(g, self._core())
+        r, scale = _g_nf(g, self._core(), self.budget)
         # _to_g rescaled f to a primitive integer gpoly; undo that factor too
         factor = f.terms[g[0][1]] / (g[0][2] * scale)
         return Polynomial(self.nvars, {m: c * factor for _, m, c in r})
@@ -451,7 +455,7 @@ class Ideal:
         if not f:
             return True
         return _g_nf(_to_g(f.terms, self.order.key), self._core(),
-                     member_only=True) is not None
+                     self.budget, member_only=True) is not None
 
     def contains_ideal(self, other: "Ideal") -> bool:
         return all(self.contains(g) for g in other.groebner_basis())
@@ -506,12 +510,13 @@ def _restrict(f: Polynomial, nvars: int) -> Polynomial:
     return Polynomial(nvars, terms)
 
 
-def ideal_intersect(I: Ideal, J: Ideal, budget: Budget | None = None) -> Ideal:
+def ideal_intersect(I: Ideal, J: Ideal) -> Ideal:
     """Intersection via the single-auxiliary-variable trick.
 
     Generators t*f and (1-t)*g over the extended ring, then elimination of
     t with a block order.  The auxiliary variable counts for degree zero in
     the ideal's own grading, so graded structure passes through untouched.
+    The elimination ideal and the result keep I's budget.
     """
     _same_ring(I, J)
     n = I.nvars
@@ -520,11 +525,11 @@ def ideal_intersect(I: Ideal, J: Ideal, budget: Budget | None = None) -> Ideal:
     gens = [_extend(f) * t for f in I.gens]
     gens += [_extend(g) * (one - t) for g in J.gens]
     order = EliminationOrder(frozenset({n}))
-    E = Ideal(gens, order, nvars=n + 1, budget=budget or I.budget)
+    E = Ideal(gens, order, nvars=n + 1, budget=I.budget)
     kept = [g for g in E.groebner_basis()
             if all(m[n] == 0 for m in g.terms)]
     result = Ideal([_restrict(g, n) for g in kept], I.order, nvars=n,
-                   budget=budget or I.budget)
+                   budget=I.budget)
     if isinstance(I.order, type(GREVLEX)):
         # the block order restricts to grevlex on the kept variables, so the
         # surviving elements are already the reduced basis, in lead order
@@ -532,7 +537,7 @@ def ideal_intersect(I: Ideal, J: Ideal, budget: Budget | None = None) -> Ideal:
     return result
 
 
-def intersect_many(ideals, budget: Budget | None = None) -> Ideal:
+def intersect_many(ideals) -> Ideal:
     """Fold pairwise intersections, always merging the two smallest."""
     items = list(ideals)
     if not items:
@@ -543,7 +548,7 @@ def intersect_many(ideals, budget: Budget | None = None) -> Ideal:
     while len(heap) > 1:
         _, _, A = heapq.heappop(heap)
         _, _, B = heapq.heappop(heap)
-        C = ideal_intersect(A, B, budget=budget)
+        C = ideal_intersect(A, B)
         heapq.heappush(heap, (len(C.gens), counter, C))
         counter += 1
     return heap[0][2]
@@ -559,16 +564,14 @@ def _same_ring(I: Ideal, J: Ideal) -> None:
         raise RingContextError("ideals live in different rings")
 
 
-def _walk(candidates, full: Ideal, max_degree: int,
-          budget: Budget | None) -> tuple:
+def _walk(candidates, full: Ideal, max_degree: int) -> tuple:
     """(kept, basis) of the degree walk of minimal_generators; the basis is
     a Groebner basis of the kept generators through max_degree."""
-    clock = budget or full.budget or Budget.from_env()
     keyf = full.order.key
-    basis = _Basis(keyf, clock)
+    basis = _Basis(keyf, full.budget)
     kept: list = []
     for d in range(max_degree + 1):
-        clock.check("minimal generators", len(basis.polys))
+        full.budget.check("minimal generators", len(basis.polys))
         basis.run(d)
         covered = _multiples_of_degree(basis.leads, full.nvars, d)
         if covered == full.graded_dim(d):
@@ -578,8 +581,7 @@ def _walk(candidates, full: Ideal, max_degree: int,
     return kept, basis
 
 
-def minimal_generators(candidates, full: Ideal, max_degree: int,
-                       budget: Budget | None = None) -> Ideal:
+def minimal_generators(candidates, full: Ideal, max_degree: int) -> Ideal:
     """Ideal of minimal generators through max_degree of the ideal generated
     by the candidates, picked degree by degree; it records max_degree in
     generated_up_to and carries its reduced basis.
@@ -590,13 +592,13 @@ def minimal_generators(candidates, full: Ideal, max_degree: int,
     through degree d.  The degree is skipped when its leads then cover
     dim full_d monomials, since the kept generators already span full_d.
     Otherwise a candidate is kept when its normal form against the basis,
-    which then joins the basis, is nonzero.  The budget is checked once per
-    degree; the returned ideal keeps the budget given, which may be None.
+    which then joins the basis, is nonzero.  full's budget is checked once
+    per degree, and the returned ideal keeps it.
     """
-    kept, basis = _walk(candidates, full, max_degree, budget)
+    kept, basis = _walk(candidates, full, max_degree)
     basis.run()
     P = Ideal(kept, full.order, nvars=full.nvars, generated_up_to=max_degree,
-              budget=budget)
+              budget=full.budget)
     P._set_basis([_g_to_poly(g, full.nvars) for g in basis.reduced()])
     return P
 
@@ -607,8 +609,7 @@ def degree_counts(gens, max_degree: int) -> dict:
     return {d: degrees.count(d) for d in range(max_degree + 1)}
 
 
-def minimal_generator_counts(I: Ideal, max_degree: int,
-                             budget: Budget | None = None) -> dict:
+def minimal_generator_counts(I: Ideal, max_degree: int) -> dict:
     """Number of minimal generators of I in each degree through max_degree,
     drawn from I's reduced basis by the walk of minimal_generators, which
     stops at max_degree.  Requires homogeneous generators."""
@@ -617,17 +618,17 @@ def minimal_generator_counts(I: Ideal, max_degree: int,
             raise ValueError("minimal generator counts need homogeneous gens")
     basis = I.groebner_basis()
     kept, _ = _walk(lambda d: [g for g in basis if g.total_degree() == d],
-                    I, max_degree, budget)
+                    I, max_degree)
     return degree_counts(kept, max_degree)
 
 
-def nf_monomial_table(I: Ideal, d: int, budget: Budget | None = None) -> dict:
+def nf_monomial_table(I: Ideal, d: int) -> dict:
     """Normal forms of every degree-d monomial against the reduced basis.
 
     Dynamic programming over the order: reducing a monomial rewrites it as
     a combination of strictly smaller monomials of the same degree, so one
     ascending pass fills the table.  Returns mono -> {standard mono: QQ}.
-    A budget, when given, is checked every 256 monomials.
+    I's budget is checked every 256 monomials.
     """
     keyf = I.order.key
     entries = []
@@ -638,8 +639,8 @@ def nf_monomial_table(I: Ideal, d: int, budget: Budget | None = None) -> dict:
         entries.append((g[0][1], [(m, QQ(-c, lc)) for _, m, c in g[1:]]))
     table: dict = {}
     for i, m in enumerate(sorted(monomials_of_degree(I.nvars, d), key=keyf), 1):
-        if budget is not None and not i % 256:
-            budget.check("normal-form tables")
+        if not i % 256:
+            I.budget.check("normal-form tables")
         for lead, tail in entries:
             if _divides(lead, m):
                 break
@@ -660,11 +661,10 @@ def nf_monomial_table(I: Ideal, d: int, budget: Budget | None = None) -> dict:
     return table
 
 
-def graded_basis(I: Ideal, d: int, budget: Budget | None = None) -> list:
+def graded_basis(I: Ideal, d: int) -> list:
     """Triangular basis of the ideal's degree-d piece: w - NF(w) per lead w,
-    a degree-d monomial that is not its own normal form.  The budget, when
-    given, bounds the normal-form table."""
-    table = nf_monomial_table(I, d, budget)
+    a degree-d monomial that is not its own normal form."""
+    table = nf_monomial_table(I, d)
     out = []
     for w in monomials_of_degree(I.nvars, d):
         nf = table[w]

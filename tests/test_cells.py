@@ -123,12 +123,6 @@ class TestHeart:
     def test_j_classes_n1(self):
         assert [cls.members for cls in j_classes(1)] == [((1, 1),), ((2,),)]
 
-    def test_general_residues(self):
-        # stripping both residues empties any partition
-        assert j_heart((3, 2, 2), residues=(0, 1)) == ()
-        # modulus 1 with residue 0 likewise
-        assert j_heart((4, 1), residues=(0,), modulus=1) == ()
-
 
 class TestLabels:
     def test_examples(self):

@@ -209,6 +209,31 @@ class TestExitCodes:
             cli.main(["verify", "dunkl", "--c", "1,oops"])
         assert stop.value.code == 64
 
+    @pytest.mark.parametrize("values", [",", ""])
+    def test_empty_rational_list_is_usage_error(self, capsys, values):
+        # an empty list would pass dunkl with no cell checked
+        with pytest.raises(SystemExit) as stop:
+            cli.main(["verify", "dunkl", "--c", values])
+        assert stop.value.code == 64
+
+    def test_unwritable_out_is_usage_error_before_any_run(
+            self, capsys, monkeypatch, tmp_path):
+        ran = []
+        monkeypatch.setitem(cli.TARGETS, "cells", ran.append)
+        out = tmp_path / "missing" / "r.json"
+        assert cli.main(["verify", "cells", "--out", str(out)]) == 64
+        assert ran == []
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "r.json" in err
+
+    @pytest.mark.parametrize("flag", [["--degree-bound", "4"], ["--seed", "1"],
+                                      ["--c", "1"], ["--samples", "2"],
+                                      ["--timings"]])
+    def test_cells_table_takes_no_target_options(self, capsys, flag):
+        with pytest.raises(SystemExit) as stop:
+            cli.main(["cells", "table", *flag])
+        assert stop.value.code == 64
+
     def test_missing_command_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as stop:
             cli.main([])

@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import itertools
 import random
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diagonals import groebner
+from diagonals import diagideals, groebner
 from diagonals.diagideals import pair_ideal_power, symbolic_power
 from diagonals.groebner import (
     Budget,
@@ -383,24 +384,36 @@ class TestBudget:
         assert info.value.elapsed > 0
 
     def test_minimal_generators_check_the_budget_per_degree(self):
-        # the clock runs from the budget's creation, so a spent budget
-        # stops the first degree before any basis work
+        # the clock runs from the budget's creation, so a spent budget on
+        # the full ideal stops the first degree before any basis work
         x, y = variables(2)
+        full = Ideal([x, y], budget=Budget(max_seconds=0))
         with pytest.raises(BudgetExceeded) as info:
-            minimal_generators(lambda d: [], Ideal([x, y]), 2,
-                               Budget(max_seconds=0))
+            minimal_generators(lambda d: [], full, 2)
         assert info.value.reason == "time limit in minimal generators"
 
     def test_normal_form_tables_check_the_budget(self):
         # 462 monomials of degree 6 in 6 variables: the clock is read at
         # the 256th
         I = Ideal(variables(6)[:2])
+        I.groebner_basis()
+        I.budget = Budget(max_seconds=0)
         with pytest.raises(BudgetExceeded) as info:
-            nf_monomial_table(I, 6, Budget(max_seconds=0))
+            nf_monomial_table(I, 6)
         assert info.value.reason == "time limit in normal-form tables"
         assert info.value.basis_size is None
         with pytest.raises(BudgetExceeded):
-            graded_basis(I, 6, Budget(max_seconds=0))
+            graded_basis(I, 6)
+
+    def test_membership_reductions_check_the_budget(self):
+        # 325 terms, all but the last divisible by x or y: the reduction
+        # reads the clock at step 256
+        wide = Polynomial(3, {m: 1 for m in monomials_of_degree(3, 24)})
+        x, y, _ = variables(3)
+        spent = Ideal([x, y], budget=Budget(max_seconds=0))
+        with pytest.raises(BudgetExceeded) as info:
+            spent.contains(wide)
+        assert info.value.reason == "time limit in reduction"
 
     def test_env_override(self, monkeypatch):
         monkeypatch.setenv("DIAGONALS_MAX_SECONDS", "12.5")
@@ -408,6 +421,31 @@ class TestBudget:
         b = Budget.from_env()
         assert b.max_seconds == 12.5
         assert b.max_basis == 77
+
+    def test_ideal_without_a_budget_reads_the_environment(self, monkeypatch):
+        monkeypatch.setenv("DIAGONALS_MAX_SECONDS", "12.5")
+        own = Ideal([variables(1)[0]]).budget
+        assert (own.max_seconds, own.max_basis) == (12.5, Budget.max_basis)
+
+    def test_only_constructors_take_a_budget(self):
+        # every other layer reads the budget of the ideal it is given
+        takers = set()
+        for module in (groebner, diagideals):
+            for name, obj in vars(module).items():
+                if (name.startswith("_") or not callable(obj)
+                        or obj.__module__ != module.__name__):
+                    continue
+                members = [(name, obj)]
+                if inspect.isclass(obj):
+                    members += [(f"{name}.{attr}", fn)
+                                for attr, fn in vars(obj).items()
+                                if not attr.startswith("_")
+                                and inspect.isfunction(fn)]
+                takers |= {label for label, fn in members
+                           if "budget" in inspect.signature(fn).parameters}
+        assert takers == {"Ideal", "pair_ideal", "pair_ideal_power",
+                          "ideal_I", "symbolic_power", "full_ring_ideal",
+                          "alternant_basis"}
 
 
 def _checked_intersection(I, J, top=6):

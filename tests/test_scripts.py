@@ -85,6 +85,18 @@ def test_bench_refuses_a_run_from_another_environment():
         bench.merge(record, "change", "operators", other)
 
 
+def test_bench_refuses_a_second_commit_under_one_label():
+    bench = _load_bench()
+    record = bench.merge({}, "change", "operators",
+                         bench.parse_run(_canned_run(1, 4.0)))
+    other = bench.parse_run(_canned_run(2, 4.0).replace('"5805fad"',
+                                                        '"1287461"'))
+    with pytest.raises(ValueError, match="commit 1287461 differs"):
+        bench.merge(record, "change", "powers", other)
+    # the other label may name another commit
+    bench.merge(record, "parent", "operators", other)
+
+
 def test_bench_refuses_a_run_without_a_commit():
     bench = _load_bench()
     run = bench.parse_run(_canned_run(1, 4.0).replace('"5805fad"', "null"))
