@@ -8,7 +8,9 @@ Subcommands:
 Exit codes: 0 all checks passed, 1 a check found a contradiction,
 2 a computation hit its budget, 3 a comparison was inconclusive because
 the degree bound is too small to decide it (and nothing failed or
-aborted), 64 usage error.
+aborted), 64 usage error.  A verify or report run reads its budget
+(DIAGONALS_MAX_SECONDS, DIAGONALS_MAX_BASIS) once, so the time limit
+bounds the whole run, not each target; nothing in cells reads the clock.
 
 Output is deterministic for a fixed seed and fixed bounds; wall-clock
 timings are only included when --timings is passed so that repeated runs
@@ -112,7 +114,7 @@ def _build_both(name: str, bound: int, budget: Budget):
 
 def _t_g2_ideal_equality(opts: dict) -> dict:
     bound = opts["bound"]
-    _, I, J = _build_both("G2", bound, Budget.from_env())
+    _, I, J = _build_both("G2", bound, opts["budget"])
     cmp = compare(J, I, bound)
     return _flag_inconclusive({
         "ok": cmp.relation == "equal",
@@ -126,7 +128,7 @@ def _t_g2_ideal_equality(opts: dict) -> dict:
 
 def _t_b3_strict_inclusion(opts: dict) -> dict:
     bound = opts["bound"]
-    _, I, J = _build_both("B3", bound, Budget.from_env())
+    _, I, J = _build_both("B3", bound, opts["budget"])
     cmp = compare(J, I, bound)
     counts_i = minimal_generator_counts(I, bound)
     counts_j = degree_counts(J.gens, bound)
@@ -153,7 +155,7 @@ def _t_b3_strict_inclusion(opts: dict) -> dict:
 
 def _t_b3_invariant_images(opts: dict) -> dict:
     bound = opts["bound"]
-    W, I, J = _build_both("B3", bound, Budget.from_env())
+    W, I, J = _build_both("B3", bound, opts["budget"])
     dims_i = [invariant_image_dim(W, I, d) for d in range(bound + 1)]
     dims_j = [dim if _same_piece(J, I, d) else invariant_image_dim(W, J, d)
               for d, dim in enumerate(dims_i)]
@@ -167,7 +169,7 @@ def _t_b3_invariant_images(opts: dict) -> dict:
 
 
 def _t_type_a(opts: dict) -> dict:
-    budget = Budget.from_env()
+    budget = opts["budget"]
     details: dict = {}
     ok = True
     # fixed bounds, independent of --degree-bound
@@ -186,7 +188,7 @@ def _t_type_a(opts: dict) -> dict:
 
 
 def _t_symbolic_vs_ordinary(opts: dict) -> dict:
-    budget = Budget.from_env()
+    budget = opts["budget"]
     details: dict = {}
     for name in ("B2", "G2"):
         rs = root_system(name)
@@ -200,7 +202,7 @@ def _t_symbolic_vs_ordinary(opts: dict) -> dict:
 
 def _t_dunkl(opts: dict) -> dict:
     seed, per = opts["seed"], opts["samples"]
-    budget = Budget.from_env()
+    budget = opts["budget"]
     ok = True
     cells = []
     for name in ("A2", "B2", "G2"):
@@ -258,8 +260,8 @@ def _t_cells(opts: dict) -> dict:
 
 def _t_delta_identity(opts: dict) -> dict:
     bound, seed = opts["bound"], opts["seed"]
-    budget = Budget.from_env()
-    ok = True
+    budget = opts["budget"]
+    ok = decided = True
     details: dict = {}
     for name in ("B2", "G2"):
         W, I, J = _build_both(name, bound, budget)
@@ -284,11 +286,14 @@ def _t_delta_identity(opts: dict) -> dict:
             three_way.append({"outputDegree": deg + k, "dims": dims})
             agree &= dims[0] == dims[1] == dims[2]
         ok &= identity_ok and agree
+        decided &= bool(three_way)
         details[name] = {
             "discriminantDegree": deg,
             "projectionIdentity": identity_ok,
             "threeWayDims": three_way,
         }
+    if ok and not decided:  # no degree at or below the bound to compare
+        return {"ok": False, "inconclusive": True, "details": details}
     return {"ok": ok, "details": details}
 
 
@@ -392,6 +397,7 @@ def build_parser() -> _Parser:
 
 
 def _opts_from_args(args) -> dict:
+    """Target options, with the budget that every target of a run shares."""
     return {
         "bound": args.degree_bound,
         "seed": args.seed,
@@ -399,6 +405,7 @@ def _opts_from_args(args) -> dict:
         "n": args.n,
         "c_values": args.c if args.c is not None else _parse_c_list(DEFAULT_C),
         "timings": args.timings,
+        "budget": Budget.from_env(),
     }
 
 
@@ -445,15 +452,14 @@ def _table_json(n: int) -> list:
     } for r in table_rows(n)]
 
 
-def _run(args) -> tuple:
-    """(report text, exit code) of a parsed command."""
+def _run(args, opts) -> tuple:
+    """(report text, exit code) of a parsed command and its options."""
     if args.command == "cells":
         if args.format == "json":
             return json.dumps(_table_json(args.n), indent=2,
                               sort_keys=True), 0
         return _table_text(args.n), 0
 
-    opts = _opts_from_args(args)
     if args.command == "verify":
         payload = run_target(args.target, opts)
         results = [payload]
@@ -472,22 +478,16 @@ def _run(args) -> tuple:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command != "cells":
-        try:
-            Budget.from_env()
-        except ValueError as bad:
-            print(f"diagonals: error: {bad}", file=sys.stderr)
-            return 64
-    # the output opens before any target runs, so a bad path costs no run
+    # a bad budget variable or output path costs no run: both come first
     try:
+        opts = None if args.command == "cells" else _opts_from_args(args)
         sink = (open(args.out, "w") if args.out
                 else contextlib.nullcontext(sys.stdout))
-    except OSError as bad:
-        print(f"diagonals: error: cannot write the report: {bad}",
-              file=sys.stderr)
+    except (OSError, ValueError) as bad:
+        print(f"diagonals: error: {bad}", file=sys.stderr)
         return 64
     with sink as out:
-        text, code = _run(args)
+        text, code = _run(args, opts)
         print(text, file=out)
     return code
 

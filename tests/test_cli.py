@@ -88,6 +88,23 @@ class TestVerify:
         assert cmp["relation"] == "inconclusive"
         assert cmp["dimsLeft"] == cmp["dimsRight"]
 
+    @pytest.mark.parametrize("bound, compared", [("3", {}), ("5", {"B2": 2})])
+    def test_bound_below_discriminant_degree_is_inconclusive(
+            self, capsys, bound, compared):
+        # Delta has degree 4 on B2 and 6 on G2: a type with no degree to
+        # compare decides nothing, even where the other type agrees
+        code, out = run(capsys, ["verify", "delta-identity",
+                                 "--degree-bound", bound, "--format", "json"])
+        assert code == 3
+        result = json.loads(out)
+        assert result["inconclusive"] is True and result["ok"] is False
+        assert {name: len(entry["threeWayDims"])
+                for name, entry in result["details"].items()
+                if entry["threeWayDims"]} == compared
+        code, out = run(capsys, ["verify", "delta-identity",
+                                 "--degree-bound", bound])
+        assert (code, out.splitlines()[0]) == (3, "INCONCLUSIVE delta-identity")
+
     def test_dunkl_target_uses_library_check(self, capsys, monkeypatch):
         # a wrong closed form must reach the target through
         # check_defining_relation, not through a copy held by cli
@@ -130,6 +147,43 @@ class TestSampleStream:
         ]
 
 
+# canned target results, one of each verdict
+CANNED = {
+    "pass": {"ok": True},
+    "fail": {"ok": False},
+    "inconclusive": {"ok": False, "inconclusive": True},
+    "abort": {"ok": False, "aborted": "budget",
+              "details": {"reason": "time limit in x"}},
+}
+
+
+class TestReport:
+    @pytest.mark.parametrize("verdicts, code", [
+        (("pass",), 0),
+        (("pass", "inconclusive"), 3),
+        (("inconclusive", "fail"), 1),
+        (("fail", "abort", "inconclusive"), 2),
+        (("pass", "abort"), 2),
+    ])
+    def test_exit_code_and_overall_verdict(self, capsys, monkeypatch,
+                                           verdicts, code):
+        # the first targets in report order take the verdicts, the rest pass
+        names = sorted(cli.TARGETS)
+        for name in names:
+            kind = dict(zip(names, verdicts)).get(name, "pass")
+            monkeypatch.setitem(cli.TARGETS, name,
+                                lambda opts, kind=kind: dict(CANNED[kind]))
+        all_pass = set(verdicts) == {"pass"}
+        text_code, text = run(capsys, ["report"])
+        assert text_code == code
+        assert text.splitlines()[-1] == ("OK" if all_pass else "NOT OK")
+        json_code, out = run(capsys, ["report", "--format", "json"])
+        report = json.loads(out)
+        assert json_code == code
+        assert report["ok"] is all_pass
+        assert [r["target"] for r in report["results"]] == names
+
+
 class TestExitCodes:
     def test_budget_abort_is_two(self, capsys, monkeypatch):
         monkeypatch.setenv("DIAGONALS_MAX_SECONDS", "0.2")
@@ -145,21 +199,16 @@ class TestExitCodes:
         assert json.loads(out)["details"] == {
             "reason": "time limit in dunkl samples"}
 
-    def test_dunkl_target_checks_before_each_cell_and_sample(
-            self, monkeypatch):
+    def test_dunkl_target_checks_before_each_cell_and_sample(self):
         layers = []
 
         class Recorder:
-            @classmethod
-            def from_env(cls):
-                return cls()
-
             def check(self, layer, basis_size=None):
                 layers.append(layer)
 
-        monkeypatch.setattr(cli, "Budget", Recorder)
         result = cli.run_target("dunkl", {"seed": 0, "samples": 2,
-                                          "c_values": [0, 1]})
+                                          "c_values": [0, 1],
+                                          "budget": Recorder()})
         assert result["ok"]
         # 3 types x 2 parameters, each a cell check plus one per sample
         assert layers == ["dunkl samples"] * (3 * 2 * (1 + 2))
@@ -176,6 +225,21 @@ class TestExitCodes:
             result = cli.run_target("cells", {})
             assert result["aborted"] == "budget"
             assert result["details"] == details
+
+    def test_report_runs_every_target_on_one_budget(self, capsys,
+                                                    monkeypatch):
+        budgets = []
+
+        def record(opts):
+            budgets.append(opts["budget"])
+            return {"ok": True}
+
+        for name in cli.TARGETS:
+            monkeypatch.setitem(cli.TARGETS, name, record)
+        assert cli.main(["report"]) == 0
+        assert len(budgets) == len(cli.TARGETS) == 8
+        assert all(budget is budgets[0] for budget in budgets)
+        assert isinstance(budgets[0], Budget)
 
     @pytest.mark.parametrize("target, bound, layer", [
         ("g2-ideal-equality", "4", "alternants"),
