@@ -12,7 +12,14 @@ last line, the result, are merged into --out under the label (parent or
 change) and the workload, so a paired comparison alternates calls with
 the two labels on one file.  After every merge the file's summary
 gives, per label and workload, the median and quartiles of each
-end-to-end metric over the runs recorded so far.  Every run must
+end-to-end metric over the runs recorded so far.  Once both labels hold
+runs of a workload, the file's comparison gives, per workload and
+end-to-end metric, the change median over the parent median minus 1,
+the parent's spread (q3 - q1) / median, the metric's bound from
+BENCHMARK.json, and a status: `worse` when the change is worse by more
+than the bound, `unresolved` when the parent's spread reaches the bound
+and not every change run beats every parent run, `within` otherwise.
+Lower reads better on every end-to-end metric.  Every run must
 report the same Python version, gmpy2 status and CPU count as the runs
 already in the file: numbers from different machines do not belong in
 one record.  A run must also name its commit, so the checkout has to be
@@ -66,8 +73,33 @@ def quartiles(values: list) -> dict:
             "n": len(values)}
 
 
+def compare_labels(record: dict, workload: str) -> dict:
+    """Paired verdict of each end-to-end metric on workload."""
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    limits = {metric["name"]: metric["bound"]
+              for metric in spec["end_to_end"]}
+    out = {}
+    for name in END_TO_END:
+        parent, change = ([r["result"]["metrics"][name]["value"]
+                           for r in record["runs"][label][workload]]
+                          for label in ("parent", "change"))
+        base = quartiles(parent)
+        ratio = statistics.median(change) / base["median"] - 1
+        spread = (base["q3"] - base["q1"]) / base["median"]
+        if ratio > limits[name]:
+            status = "worse"
+        elif spread >= limits[name] and max(change) >= min(parent):
+            status = "unresolved"
+        else:
+            status = "within"
+        out[name] = {"change_vs_parent": ratio, "parent_spread": spread,
+                     "bound": limits[name], "status": status}
+    return out
+
+
 def merge(record: dict, label: str, workload: str, run: dict) -> dict:
-    """Add one parsed run to record and recompute its summary."""
+    """Add one parsed run to record and recompute its summary and, once
+    both labels hold runs of the workload, its comparison."""
     commit = run["env"].get("commit")
     if commit is None:
         raise ValueError("run names no commit; run a git checkout")
@@ -91,6 +123,10 @@ def merge(record: dict, label: str, workload: str, run: dict) -> dict:
                             for r in runs])
            for name in END_TO_END},
     }
+    if all(workload in record["runs"].get(side, {})
+           for side in ("parent", "change")):
+        record.setdefault("comparison", {})[workload] = compare_labels(
+            record, workload)
     return record
 
 

@@ -75,6 +75,38 @@ def test_bench_merges_runs_and_summarises_each_label(tmp_path, monkeypatch):
                                      "q3": 21.0, "n": 3}
 
 
+@pytest.mark.parametrize("parent, change, ratio, spread, status", [
+    # parent spread 2.4 %, under the 25 % bound: the +2.4 % reads within
+    ((4.0, 4.1, 4.2), (4.1, 4.2, 4.3), 0.1 / 4.1, 0.1 / 4.1, "within"),
+    # parent spread 25 % reaches the bound and two change runs are slower
+    # than the fastest parent run: +5 % cannot be told from noise
+    ((3.0, 4.0, 5.0), (3.5, 4.2, 4.4), 0.05, 0.25, "unresolved"),
+    ((4.0, 4.1, 4.2), (5.0, 5.2, 5.4), 1.1 / 4.1, 0.1 / 4.1, "worse"),
+])
+def test_bench_compares_the_labels_against_each_bound(
+        tmp_path, monkeypatch, parent, change, ratio, spread, status):
+    bench = _load_bench()
+    verdicts = {seed: v for seed, v in enumerate(parent + change)}
+    monkeypatch.setattr(bench, "run_once", lambda checkout, workload, seed:
+                        _canned_run(seed, verdicts[seed]))
+    out = tmp_path / "BENCH_1.json"
+    for label, seeds in (("parent", "012"), ("change", "345")):
+        bench.main(["--label", label, "--workload", "powers", "--seed",
+                    *seeds, "--out", str(out)])
+        # no comparison until both labels hold runs of the workload
+        assert ("comparison" in json.loads(out.read_text())) \
+            == (label == "change")
+    compared = json.loads(out.read_text())["comparison"]["powers"]
+    verdict = compared["verdict_s"]
+    assert verdict["bound"] == 0.25 and verdict["status"] == status
+    assert verdict["change_vs_parent"] == pytest.approx(ratio)
+    assert verdict["parent_spread"] == pytest.approx(spread)
+    # the canned runs hold memory and set-up time fixed
+    assert compared["peak_rss_mb"] == {"change_vs_parent": 0.0,
+                                       "parent_spread": 0.0, "bound": 0.05,
+                                       "status": "within"}
+
+
 def test_bench_refuses_a_run_from_another_environment():
     bench = _load_bench()
     record = bench.merge({}, "parent", "operators",
