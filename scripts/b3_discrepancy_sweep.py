@@ -41,13 +41,12 @@ def main() -> int:
     I = ideal_I(rs)
     J = ideal_J(W, I, args.degree_bound)
 
+    cmp = compare(J, I, args.degree_bound)
     print("deg  dim J_d  dim I_d  gap")
-    for d in range(args.degree_bound + 1):
-        dj, di = J.graded_dim(d), I.graded_dim(d)
+    for d, (dj, di) in enumerate(zip(cmp.dims_left, cmp.dims_right)):
         flag = "  <-- defect" if dj != di else ""
         print(f"{d:3d}  {dj:7d}  {di:7d}  {di - dj:3d}{flag}")
 
-    cmp = compare(J, I, args.degree_bound)
     print(f"\nrelation: {cmp.relation}")
     print(f"certificate: {cmp.certificate}")
     counts_j = degree_counts(J.gens, args.degree_bound)

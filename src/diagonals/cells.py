@@ -20,8 +20,6 @@ from typing import Iterator, Sequence
 
 Partition = tuple
 
-EMPTY: Partition = ()
-
 
 def check_partition(p: Sequence) -> Partition:
     p = tuple(int(a) for a in p)
@@ -41,8 +39,8 @@ def partitions(n: int) -> Iterator[Partition]:
         for first in range(1, min(cap, remaining) + 1):
             for rest in rec(remaining - first, first):
                 yield (first,) + rest
-    # build with largest part first, then sort for a stable ascending order
-    yield from sorted(rec(n, n))
+    # first parts ascend and, by induction, so do the tails: no sort needed
+    yield from rec(n, n)
 
 
 def bipartitions(n: int) -> Iterator[tuple]:
@@ -102,10 +100,19 @@ def group_by_heart(parts: Sequence) -> list:
     return [JClass(h, tuple(sorted(v))) for h, v in sorted(out.items())]
 
 
-def j_classes(n: int) -> list:
+def _core_free(n: int, budget=None) -> Iterator[Partition]:
+    """Partitions of 2n with trivial 2-core, ascending; a budget, when
+    given, is checked once per partition of 2n."""
+    for p in partitions(2 * n):
+        if budget is not None:
+            budget.check("cells")
+        if not two_core(p):
+            yield p
+
+
+def j_classes(n: int, budget=None) -> list:
     """Partitions of 2n with trivial 2-core, grouped by heart."""
-    return group_by_heart(
-        [p for p in partitions(2 * n) if not two_core(p)])
+    return group_by_heart(list(_core_free(n, budget)))
 
 
 def beta_numbers(p: Partition, length: int | None = None) -> tuple:
@@ -124,9 +131,11 @@ def beta_numbers(p: Partition, length: int | None = None) -> tuple:
     return tuple(padded[j] + (length - 1 - j) for j in range(length))
 
 
-def _runner_partition(qs: list) -> Partition:
-    qs = sorted(qs, reverse=True)
-    parts = tuple(q - (len(qs) - 1 - i) for i, q in enumerate(qs))
+def _from_betas(betas) -> Partition:
+    """The partition whose beta numbers, in any order, are betas."""
+    betas = sorted(betas, reverse=True)
+    L = len(betas)
+    parts = (b - (L - 1 - j) for j, b in enumerate(betas))
     return tuple(a for a in parts if a)
 
 
@@ -135,7 +144,7 @@ def two_quotient(p: Partition) -> tuple:
     betas = beta_numbers(p)
     odd = [(b - 1) // 2 for b in betas if b % 2]
     even = [b // 2 for b in betas if b % 2 == 0]
-    return (_runner_partition(odd), _runner_partition(even))
+    return (_from_betas(odd), _from_betas(even))
 
 
 def two_core(p: Partition) -> Partition:
@@ -143,24 +152,15 @@ def two_core(p: Partition) -> Partition:
     betas = beta_numbers(p)
     n_odd = sum(1 for b in betas if b % 2)
     n_even = len(betas) - n_odd
-    packed = sorted([2 * q + 1 for q in range(n_odd)]
-                    + [2 * q for q in range(n_even)], reverse=True)
-    L = len(packed)
-    parts = tuple(packed[j] - (L - 1 - j) for j in range(L))
-    return tuple(a for a in parts if a)
+    return _from_betas([2 * q + 1 for q in range(n_odd)]
+                       + [2 * q for q in range(n_even)])
 
 
 def tau(lam: Partition, mu: Partition) -> Partition:
     """Partition with trivial 2-core whose quotient is (lam, mu)."""
     h = max(len(lam), len(mu), 1)
-    lam = tuple(lam) + (0,) * (h - len(lam))
-    mu = tuple(mu) + (0,) * (h - len(mu))
-    odd = [2 * (lam[i] + h - 1 - i) + 1 for i in range(h)]
-    even = [2 * (mu[j] + h - 1 - j) for j in range(h)]
-    betas = sorted(odd + even, reverse=True)
-    L = 2 * h
-    parts = tuple(betas[j] - (L - 1 - j) for j in range(L))
-    return tuple(a for a in parts if a)
+    return _from_betas([2 * b + 1 for b in beta_numbers(lam, h)]
+                       + [2 * b for b in beta_numbers(mu, h)])
 
 
 def symbol_of(bip: tuple) -> tuple:
@@ -201,12 +201,10 @@ def families(n: int) -> dict:
 
 def check_family_class_correspondence(n: int) -> bool:
     """Equal symbol entries if and only if equal heart of the tau image."""
-    by_entries: dict = {}
     by_heart: dict = {}
     for bip in bipartitions(n):
-        by_entries.setdefault(symbol_entries(bip), set()).add(bip)
         by_heart.setdefault(j_heart(tau(*bip)), set()).add(bip)
-    return (set(map(frozenset, by_entries.values()))
+    return (set(map(frozenset, families(n).values()))
             == set(map(frozenset, by_heart.values())))
 
 
@@ -241,16 +239,15 @@ def format_symbol(sym: tuple) -> str:
             + (" ".join(str(b) for b in bottom) if bottom else "-"))
 
 
-def table_rows(n: int) -> list:
+def table_rows(n: int, budget=None) -> list:
     """One row per partition of 2n with trivial 2-core, ascending.
 
     Each row records the parity-labelled diagram, the heart, the
-    quotient bipartition and its symbol.
+    quotient bipartition and its symbol.  A budget, when given, is
+    checked once per partition of 2n.
     """
     rows = []
-    for p in partitions(2 * n):
-        if two_core(p):
-            continue
+    for p in _core_free(n, budget):
         bip = two_quotient(p)
         rows.append({
             "partition": p,

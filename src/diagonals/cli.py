@@ -10,7 +10,8 @@ Exit codes: 0 all checks passed, 1 a check found a contradiction,
 the degree bound is too small to decide it (and nothing failed or
 aborted), 64 usage error.  A verify or report run reads its budget
 (DIAGONALS_MAX_SECONDS, DIAGONALS_MAX_BASIS) once, so the time limit
-bounds the whole run, not each target; nothing in cells reads the clock.
+bounds the whole run, not each target; the cells target checks it once
+per partition, and cells table reads no budget.
 
 Output is deterministic for a fixed seed and fixed bounds; wall-clock
 timings are only included when --timings is passed so that repeated runs
@@ -235,9 +236,9 @@ def _t_dunkl(opts: dict) -> dict:
 
 
 def _t_cells(opts: dict) -> dict:
-    n = opts["n"]
-    rows = table_rows(n)
-    class_sizes = sorted(len(cls.members) for cls in j_classes(n))
+    n, budget = opts["n"], opts["budget"]
+    rows = table_rows(n, budget)
+    class_sizes = sorted(len(cls.members) for cls in j_classes(n, budget))
     tau_ok = True
     for m in range(1, 7):
         for bip in bipartitions(m):

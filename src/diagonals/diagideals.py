@@ -5,7 +5,7 @@ both the x-form and the y-form of alpha vanish; its (prime, linear) ideal
 is the pair ideal P_alpha.  Out of these come the three actors of this
 package:
 
-  I        = intersection of all pair ideals,
+  I        = intersection of all pair ideals, which is I^(1),
   I^(d)    = intersection of their d-th powers,
   J        = ideal generated by all alternating polynomials up to a
              chosen total degree (recorded as generated_up_to), given
@@ -57,10 +57,6 @@ def y_form(rs: RootSystem, k: int) -> Polynomial:
     return Polynomial.linear_form(2 * n, [0] * n + list(coeffs))
 
 
-def pair_ideal(rs: RootSystem, k: int, budget: Budget | None = None) -> Ideal:
-    return Ideal([x_form(rs, k), y_form(rs, k)], budget=budget)
-
-
 def pair_ideal_power(rs: RootSystem, k: int, d: int,
                      budget: Budget | None = None) -> Ideal:
     """d-th power of a pair ideal: spanned by lx^i * ly^(d-i)."""
@@ -69,18 +65,17 @@ def pair_ideal_power(rs: RootSystem, k: int, d: int,
     return Ideal(gens, budget=budget)
 
 
-def ideal_I(rs: RootSystem, budget: Budget | None = None) -> Ideal:
-    """Intersection of every pair ideal."""
-    parts = [pair_ideal(rs, k, budget) for k in range(len(rs.positive_roots))]
-    return intersect_many(parts)
-
-
 def symbolic_power(rs: RootSystem, d: int,
                    budget: Budget | None = None) -> Ideal:
     """I^(d): intersection of the d-th powers of the pair ideals."""
     parts = [pair_ideal_power(rs, k, d, budget)
              for k in range(len(rs.positive_roots))]
     return intersect_many(parts)
+
+
+def ideal_I(rs: RootSystem, budget: Budget | None = None) -> Ideal:
+    """Intersection of every pair ideal: the first symbolic power."""
+    return symbolic_power(rs, 1, budget)
 
 
 def discriminant(rs: RootSystem) -> Polynomial:

@@ -42,6 +42,7 @@ from .polyring import (
     QQ,
     RingContextError,
     ZERO,
+    _divides,
     monomials_of_degree,
 )
 
@@ -107,13 +108,6 @@ class BudgetExceeded(RuntimeError):
 # A gpoly is a list of (key, mono, int_coeff) sorted by key descending.  A
 # primitive one, as every basis holds, is content-stripped with positive
 # leading coefficient.
-
-
-def _divides(a: Monomial, b: Monomial) -> bool:
-    for x, y in zip(a, b):
-        if x > y:
-            return False
-    return True
 
 
 def _to_g(terms: dict, keyf) -> list:
@@ -457,9 +451,6 @@ class Ideal:
         return _g_nf(_to_g(f.terms, self.order.key), self._core(),
                      self.budget, member_only=True) is not None
 
-    def contains_ideal(self, other: "Ideal") -> bool:
-        return all(self.contains(g) for g in other.groebner_basis())
-
     # -- graded data ---------------------------------------------------------
 
     def graded_dim(self, d: int) -> int:
@@ -556,7 +547,8 @@ def intersect_many(ideals) -> Ideal:
 
 def ideal_equal(I: Ideal, J: Ideal) -> bool:
     _same_ring(I, J)
-    return I.contains_ideal(J) and J.contains_ideal(I)
+    return (all(I.contains(g) for g in J.groebner_basis())
+            and all(J.contains(g) for g in I.groebner_basis()))
 
 
 def _same_ring(I: Ideal, J: Ideal) -> None:

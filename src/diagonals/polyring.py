@@ -246,20 +246,12 @@ class Polynomial:
                 terms[m] = s
             else:
                 terms.pop(m, None)
-        out = Polynomial.__new__(Polynomial)
-        out.nvars = self.nvars
-        out.terms = terms
-        out._hash = None
-        return out
+        return _raw(self.nvars, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = Polynomial.__new__(Polynomial)
-        out.nvars = self.nvars
-        out.terms = {m: -c for m, c in self.terms.items()}
-        out._hash = None
-        return out
+        return _raw(self.nvars, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         if not isinstance(other, Polynomial):
@@ -274,11 +266,7 @@ class Polynomial:
             c = QQ(other)
             if not c:
                 return Polynomial.zero(self.nvars)
-            out = Polynomial.__new__(Polynomial)
-            out.nvars = self.nvars
-            out.terms = {m: c * v for m, v in self.terms.items()}
-            out._hash = None
-            return out
+            return _raw(self.nvars, {m: c * v for m, v in self.terms.items()})
         self._check(other)
         a, b = self.terms, other.terms
         if len(a) > len(b):
@@ -292,11 +280,7 @@ class Polynomial:
                     terms[m] = s
                 else:
                     del terms[m]
-        out = Polynomial.__new__(Polynomial)
-        out.nvars = self.nvars
-        out.terms = terms
-        out._hash = None
-        return out
+        return _raw(self.nvars, terms)
 
     __rmul__ = __mul__
 
@@ -348,6 +332,16 @@ class Polynomial:
         return total
 
 
+def _raw(nvars: int, terms: dict) -> Polynomial:
+    """Polynomial over terms, taken as they are: every key an exponent
+    tuple of length nvars and every coefficient a nonzero QQ."""
+    out = Polynomial.__new__(Polynomial)
+    out.nvars = nvars
+    out.terms = terms
+    out._hash = None
+    return out
+
+
 def variables(nvars: int) -> list:
     return [Polynomial.variable(nvars, i) for i in range(nvars)]
 
@@ -370,8 +364,11 @@ def partial_derivative(f: Polynomial, direction: Sequence) -> Polynomial:
     return Polynomial(f.nvars, terms)
 
 
-def _monomial_divides(a: Monomial, b: Monomial) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+def _divides(a: Monomial, b: Monomial) -> bool:
+    for x, y in zip(a, b):
+        if x > y:
+            return False
+    return True
 
 
 def exact_divide_linear(f: Polynomial, ell: Polynomial) -> Polynomial:
@@ -389,7 +386,7 @@ def exact_divide_linear(f: Polynomial, ell: Polynomial) -> Polynomial:
     while num:
         m = max(num, key=order.key)
         c = num.pop(m)
-        if not _monomial_divides(lm, m):
+        if not _divides(lm, m):
             raise ExactDivisionError(f"remainder term {m} not divisible")
         qm = tuple(e - d for e, d in zip(m, lm))
         qc = c / lc
@@ -511,11 +508,7 @@ class LinearSubstitution:
                     key = e + be
                     acc[key] = acc.get(key, 0) + pc * bc
         total = lcd * den ** top
-        out = Polynomial.__new__(Polynomial)
-        out.nvars = n
-        out.terms = {e: QQ(v, total) for e, v in acc.items() if v}
-        out._hash = None
-        return out
+        return _raw(n, {e: QQ(v, total) for e, v in acc.items() if v})
 
     def monomial_image(self, m: Monomial) -> tuple:
         """(image monomial, scale) of m under a monomial matrix."""

@@ -69,9 +69,6 @@ class RootSystem:
         norm = _dot(alpha, alpha)
         return tuple(2 * QQ(a) / norm for a in alpha)
 
-    def coroots(self) -> tuple:
-        return tuple(self.coroot(a) for a in self.positive_roots)
-
     def reflection(self, alpha: Sequence) -> Matrix:
         """s_alpha = 1 - alpha (x) alpha_check as an ambient matrix."""
         av = self.coroot(alpha)

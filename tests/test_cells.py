@@ -70,10 +70,12 @@ class TestBasics:
         assert len(list(partitions(10))) == 42
 
     def test_partitions_ascending_and_valid(self):
-        parts = list(partitions(6))
-        assert parts == sorted(parts)
-        for p in parts:
-            assert check_partition(p) == p
+        for n in range(21):
+            parts = list(partitions(n))
+            assert parts == sorted(parts), n
+            assert len(set(parts)) == len(parts), n
+            for p in parts:
+                assert check_partition(p) == p and sum(p) == n
 
     def test_check_partition_rejects(self):
         with pytest.raises(ValueError):

@@ -16,7 +16,9 @@ def run(capsys, argv):
 
 
 class TestCellsCommand:
-    def test_table_matches_fixture(self, capsys):
+    def test_table_matches_fixture(self, capsys, monkeypatch):
+        # the table reads no budget, so a spent one changes nothing
+        monkeypatch.setenv("DIAGONALS_MAX_SECONDS", "1e-9")
         code, out = run(capsys, ["cells", "table", "--n", "3"])
         assert code == 0
         assert out.strip() == FIXTURE.read_text().strip()
@@ -198,6 +200,12 @@ class TestExitCodes:
         assert code == 2
         assert json.loads(out)["details"] == {
             "reason": "time limit in dunkl samples"}
+
+    def test_cells_target_checks_the_budget(self, capsys, monkeypatch):
+        monkeypatch.setenv("DIAGONALS_MAX_SECONDS", "1e-9")
+        code, out = run(capsys, ["verify", "cells", "--format", "json"])
+        assert code == 2
+        assert json.loads(out)["details"] == {"reason": "time limit in cells"}
 
     def test_dunkl_target_checks_before_each_cell_and_sample(self):
         layers = []

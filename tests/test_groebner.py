@@ -443,7 +443,7 @@ class TestBudget:
                                 and inspect.isfunction(fn)]
                 takers |= {label for label, fn in members
                            if "budget" in inspect.signature(fn).parameters}
-        assert takers == {"Ideal", "pair_ideal", "pair_ideal_power",
+        assert takers == {"Ideal", "pair_ideal_power",
                           "ideal_I", "symbolic_power", "full_ring_ideal",
                           "alternant_basis"}
 
