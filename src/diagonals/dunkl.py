@@ -11,7 +11,7 @@ relation with multiplication by a linear form xi(x) is
 
     [T_v, xi(x)] f  =  <v, xi> f  -  c * sum  <v, alpha> <alpha_check, xi> s_alpha f
 
-with honest coroots alpha_check = 2 alpha / (alpha, alpha); again each
+with the honest coroot alpha_check = 2 alpha / (alpha, alpha); again each
 product <v, alpha><alpha_check, xi> is insensitive to root rescaling.
 
 T_v is linear, so it acts as a map on monomials: T_v f accumulates the
