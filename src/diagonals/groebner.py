@@ -43,6 +43,7 @@ from .polyring import (
     RingContextError,
     ZERO,
     _divides,
+    count_monomials,
     monomials_of_degree,
 )
 
@@ -356,11 +357,57 @@ class _Basis:
         return reduced
 
 
-def _multiples_of_degree(leads, nvars: int, d: int) -> int:
-    """Number of the degree-d monomials divisible by one of the leads."""
-    leads = [l for l in leads if sum(l) <= d]
-    return sum(any(_divides(l, m) for l in leads)
-               for m in monomials_of_degree(nvars, d))
+def _minimal_monomials(monos) -> list:
+    """The monomials that no other one of monos divides, each once."""
+    kept: list = []
+    for m in sorted(set(monos), key=sum):
+        if not any(_divides(k, m) for k in kept):
+            kept.append(m)
+    return kept
+
+
+def _hilbert_numerator(leads, nvars: int) -> list:
+    """Coefficients N_0, N_1, ... of N(t), where N(t) / (1 - t)^nvars is
+    the Hilbert series of R / (leads) for the polynomial ring R.
+
+    Pivot recursion (Bayer and Stillman, J. Symbolic Comput. 14, 1992):
+    for p = x_j^e, N(M) = N(M + (p)) + t^e N(M : p).  x_j lies in the
+    most minimal generators of M and e is its least positive exponent
+    there, so p divides every generator x_j lies in and is not one of
+    them: M + (p) has fewer generators and M : p a smaller total degree.
+    Pairwise coprime generators g end the recursion with the product of
+    the 1 - t^deg(g).
+    """
+    out: list = []
+    stack = [(_minimal_monomials(leads), 0)]
+    while stack:
+        gens, shift = stack.pop()
+        counts = [sum(1 for g in gens if g[j]) for j in range(nvars)]
+        most = max(counts, default=0)
+        if most < 2:
+            part = [1]
+            for g in gens:
+                k = sum(g)
+                part = [a - b for a, b in zip(part + [0] * k, [0] * k + part)]
+            out += [0] * (shift + len(part) - len(out))
+            for i, c in enumerate(part, shift):
+                out[i] += c
+            continue
+        j = counts.index(most)
+        e = min(g[j] for g in gens if g[j])
+        pivot = (0,) * j + (e,) + (0,) * (nvars - j - 1)
+        stack.append(([g for g in gens if not g[j]] + [pivot], shift))
+        stack.append((_minimal_monomials(
+            g[:j] + (max(g[j] - e, 0),) + g[j + 1:] for g in gens),
+            shift + e))
+    return out
+
+
+def _graded_count(numerator: list, nvars: int, d: int) -> int:
+    """Number of the degree-d monomials in the monomial ideal whose Hilbert
+    numerator is numerator: all of them minus the standard ones."""
+    return count_monomials(nvars, d) - sum(
+        c * count_monomials(nvars, d - k) for k, c in enumerate(numerator))
 
 
 def _g_to_poly(g: list, nvars: int) -> Polynomial:
@@ -405,6 +452,7 @@ class Ideal:
         self.budget = Budget.from_env() if budget is None else budget
         self._gb: tuple | None = None
         self._gbg: list | None = None
+        self._numerator: list | None = None
 
     # -- basis -------------------------------------------------------------
 
@@ -429,6 +477,7 @@ class Ideal:
         keyf = self.order.key
         self._gb = tuple(polys)
         self._gbg = [_to_g(g.terms, keyf) for g in polys]
+        self._numerator = None
 
     # -- membership ----------------------------------------------------------
 
@@ -455,9 +504,14 @@ class Ideal:
 
     def graded_dim(self, d: int) -> int:
         """Dimension of the ideal's degree-d graded piece: the number of
-        degree-d monomials that a lead of the reduced basis divides."""
-        return _multiples_of_degree([g[0][1] for g in self._core()],
-                                    self.nvars, d)
+        degree-d monomials that a lead of the reduced basis divides, read
+        off the Hilbert series N(t) / (1 - t)^n of R modulo the leads.
+        That is C(d+n-1, n-1) minus the sum of N_k C(d-k+n-1, n-1), and 0
+        for d < 0.  N is computed once per reduced basis."""
+        if self._numerator is None:
+            self._numerator = _hilbert_numerator(
+                [g[0][1] for g in self._core()], self.nvars)
+        return _graded_count(self._numerator, self.nvars, d)
 
     # -- misc ----------------------------------------------------------------
 
@@ -565,7 +619,8 @@ def _walk(candidates, full: Ideal, max_degree: int) -> tuple:
     for d in range(max_degree + 1):
         full.budget.check("minimal generators", len(basis.polys))
         basis.run(d)
-        covered = _multiples_of_degree(basis.leads, full.nvars, d)
+        covered = _graded_count(_hilbert_numerator(basis.leads, full.nvars),
+                                full.nvars, d)
         if covered == full.graded_dim(d):
             continue
         kept += [f for f in candidates(d)

@@ -198,6 +198,13 @@ class WeylGroup:
             w for w in self.elements
             if all(sum(1 for c in row if c) == 1 for row in w)
         )
+        # orbit_projection sorts exponent pairs, which needs every
+        # coordinate permutation in H; adjacent transpositions generate them
+        members = set(self._monomial)
+        for i in range(rs.ambient - 1):
+            if eye[:i] + (eye[i + 1], eye[i]) + eye[i + 2:] not in members:
+                raise RuntimeError(f"{rs.name}: monomial subgroup lacks the "
+                                   f"transposition of coordinates {i}, {i + 1}")
         covered = set()
         reps = []
         for w in self.elements:
@@ -209,10 +216,11 @@ class WeylGroup:
         # W is the disjoint union of the cosets r*H, and so of the H*r^-1
         self._coset_inverses = tuple(mat_inv(r) for r in reps)
         assert len(self._coset_inverses) * len(self._monomial) == self.order
-        # per-monomial orbit projections, filled lazily, and the distinct
-        # pairs they hold
+        # per-monomial orbit projections, filled lazily, the distinct pairs
+        # they hold, and the projection coefficient of each representative
         self.projection_memo: dict = {True: {}, False: {}}
         self._projection_pairs: dict = {}
+        self._rep_coefficients: dict = {True: {}, False: {}}
 
     @functools.cached_property
     def reflections(self) -> tuple:
@@ -320,16 +328,43 @@ def orbit_projection(W: WeylGroup, mono: tuple, signed: bool):
     a scaled monomial, so the (signed) H-average of mono lives on the
     H-orbit of mono, whose largest monomial is the representative.  An
     H-(anti)invariant is determined by its coefficients on the
-    representatives.  Results are memoised in W.projection_memo[signed].
+    representatives.
+
+    Every h in H is a signed permutation, so h^-1 = h^T moves the x- and
+    y-block alike and the exponent pairs (x_i, y_i) of mono move
+    together.  H holds every coordinate permutation, so the largest
+    monomial of the orbit sorts the pairs in descending order, by a
+    permutation P.  The coefficient is chi(P) s(rep) / |H|, where s(rep)
+    is rep's coefficient in its own orbit sum and chi(P) is the sign of P
+    when signed, 1 otherwise; it is 0 when signed and two pairs are
+    equal, since swapping them fixes rep with sign -1.  Results are
+    memoised in W.projection_memo[signed], and chi-free coefficients per
+    representative alongside.
     """
     memo = W.projection_memo[signed]
     got = memo.get(mono)
     if got is not None:
         return got
-    acc = W._orbit_sum(mono, signed)
-    rep = max(acc)
-    out = (rep, QQ(acc[rep], len(W._monomial)))
+    n = W.ambient
+    pairs = list(zip(mono[:n], mono[n:]))
+    ordered = sorted(pairs, reverse=True)
+    rep = tuple(a for a, _ in ordered) + tuple(b for _, b in ordered)
+    known = W._rep_coefficients[signed]
+    coeff = known.get(rep)
+    if coeff is None:
+        coeff = known[rep] = QQ(W._orbit_sum(rep, signed)[rep],
+                                len(W._monomial))
+    if coeff and signed and _odd_sort(pairs):
+        coeff = -coeff
+    out = (rep, coeff)
     # the monomials of an orbit mostly share one pair; storing each distinct
     # pair once measurably lowers peak memory on G2
     out = memo[mono] = W._projection_pairs.setdefault(out, out)
     return out
+
+
+def _odd_sort(pairs: list) -> bool:
+    """Whether sorting distinct pairs in descending order takes an odd
+    number of transpositions: the parity of their inversions."""
+    return sum(p < q for i, p in enumerate(pairs)
+               for q in pairs[i + 1:]) % 2 == 1
