@@ -19,6 +19,8 @@ the parent's spread (q3 - q1) / median, the metric's bound from
 BENCHMARK.json, and a status: `worse` when the change is worse by more
 than the bound, `unresolved` when the parent's spread reaches the bound
 and not every change run beats every parent run, `within` otherwise.
+The comparison's fail_share gives each label's failed checks over
+attempted ones, with status `worse` when the change's share is higher.
 Lower reads better on every end-to-end metric.  Every run must
 report the same Python version, gmpy2 status and CPU count as the runs
 already in the file: numbers from different machines do not belong in
@@ -74,7 +76,8 @@ def quartiles(values: list) -> dict:
 
 
 def compare_labels(record: dict, workload: str) -> dict:
-    """Paired verdict of each end-to-end metric on workload."""
+    """Paired verdict of each end-to-end metric, and of the share of
+    failed checks, on workload."""
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     limits = {metric["name"]: metric["bound"]
               for metric in spec["end_to_end"]}
@@ -94,6 +97,14 @@ def compare_labels(record: dict, workload: str) -> dict:
             status = "within"
         out[name] = {"change_vs_parent": ratio, "parent_spread": spread,
                      "bound": limits[name], "status": status}
+    shares = {}
+    for label in ("parent", "change"):
+        runs = [r["result"] for r in record["runs"][label][workload]]
+        shares[label] = (sum(r["failed"] for r in runs)
+                         / sum(r["attempted"] for r in runs))
+    shares["status"] = ("worse" if shares["change"] > shares["parent"]
+                        else "within")
+    out["fail_share"] = shares
     return out
 
 

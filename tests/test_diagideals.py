@@ -275,24 +275,44 @@ class TestAlternants:
 
     def test_orbit_projection_matches_naive_average(self):
         # the projection averages over the monomial subgroup, which is all
-        # of B2 but only six of the twelve elements of G2
-        for name in ("B2", "G2"):
-            W = WeylGroup(root_system(name))
-            nvars = 2 * W.ambient
-            rng = random.Random(2)
-            for _ in range(20):
-                mono = tuple(rng.randint(0, 3) for _ in range(nvars))
-                single = Polynomial(nvars, {mono: 1})
-                for signed in (False, True):
-                    rep, coeff = orbit_projection(W, mono, signed)
-                    avg = Polynomial.zero(nvars)
-                    for h in W._monomial:
-                        sign = W.sign(h) if signed else 1
-                        avg = avg + sign * W.act(h, single)
-                    avg = avg * QQ(1, len(W._monomial))
-                    assert avg.coefficient(rep) == coeff
-                    if coeff:
-                        assert rep == max(avg.terms)
+        # of W but for G2, where it is six of the twelve elements
+        for name in ("A2", "A3", "B2", "B3", "C3", "D3", "D4", "G2"):
+            self._check_orbit_projection(WeylGroup(root_system(name)))
+
+    @staticmethod
+    def _check_orbit_projection(W):
+        n = W.ambient
+        rng = random.Random(2)
+        monos = []
+        for _ in range(12):
+            mono = [rng.randint(0, 3) for _ in range(2 * n)]
+            monos.append(tuple(mono))
+            # a repeated exponent pair: the signed coefficient cancels to 0
+            mono[1], mono[n + 1] = mono[0], mono[n]
+            monos.append(tuple(mono))
+        # distinct pairs (2p+1, 2p) of odd sum under some odd and even
+        # permutations p: their signed coefficient is nonzero in every type
+        staircases = [
+            tuple(2 * p + 1 for p in perm) + tuple(2 * p for p in perm)
+            for perm in itertools.islice(itertools.permutations(range(n)), 6)]
+        for mono in monos + staircases:
+            single = Polynomial(2 * n, {mono: 1})
+            for signed in (False, True):
+                rep, coeff = orbit_projection(W, mono, signed)
+                avg = Polynomial.zero(2 * n)
+                for h in W._monomial:
+                    sign = W.sign(h) if signed else 1
+                    avg = avg + sign * W.act(h, single)
+                avg = avg * QQ(1, len(W._monomial))
+                assert avg.coefficient(rep) == coeff, (mono, signed)
+                # the representative is the orbit's largest monomial
+                assert rep == max(m for h in W._monomial
+                                  for m in W.act(h, single).terms)
+                pairs = list(zip(mono[:n], mono[n:]))
+                if signed and len(set(pairs)) < n:
+                    assert coeff == 0
+                if signed and mono in staircases:
+                    assert coeff
 
     def test_alternants_check_the_budget_per_candidate(self):
         # a spent budget stops before the first candidate's row

@@ -237,7 +237,57 @@ class TestIdealOps:
         assert not ideal_equal(Ideal([x]), Ideal([x**2]))
 
 
+def _scanned_multiples(leads, nvars, d):
+    """Reference count: the degree-d monomials that one of the leads
+    divides, found by testing each of them."""
+    return sum(any(all(a <= b for a, b in zip(lead, m)) for lead in leads)
+               for m in monomials_of_degree(nvars, d))
+
+
+def _lead_sets(seed):
+    """(nvars, leads) samples: no leads, the unit ideal, pure powers,
+    duplicate and non-minimal leads, and random sets in 1 to 7 variables."""
+    rng = random.Random(seed)
+    out = []
+    for nvars in range(1, 8):
+        powers = [tuple(rng.randint(1, 4) if i == j else 0
+                        for i in range(nvars)) for j in range(nvars)]
+        out += [(nvars, []), (nvars, [(0,) * nvars]), (nvars, powers)]
+        for _ in range(6):
+            leads = [tuple(rng.randint(0, 3) for _ in range(nvars))
+                     for _ in range(rng.randint(1, 8))]
+            # a duplicate, and a multiple of the first lead
+            leads += [leads[0], tuple(e + rng.randint(0, 2) for e in leads[0])]
+            rng.shuffle(leads)
+            out.append((nvars, leads))
+    return out
+
+
 class TestGradedData:
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_hilbert_numerator_counts_the_lead_multiples(self, seed):
+        for nvars, leads in _lead_sets(seed):
+            numerator = groebner._hilbert_numerator(leads, nvars)
+            for d in range(-1, 9):
+                assert groebner._graded_count(numerator, nvars, d) \
+                    == _scanned_multiples(leads, nvars, d), (nvars, leads, d)
+
+    def test_graded_dim_of_monomial_ideals_matches_the_scan(self):
+        rng = random.Random(5)
+        for nvars in (2, 4, 6):
+            monos = [tuple(rng.randint(0, 3) for _ in range(nvars))
+                     for _ in range(6)]
+            I = Ideal([Polynomial(nvars, {m: 1}) for m in monos])
+            assert [I.graded_dim(d) for d in range(-1, 9)] == [
+                _scanned_multiples(monos, nvars, d) for d in range(-1, 9)]
+
+    def test_installed_basis_drops_the_cached_numerator(self):
+        x, y = variables(2)
+        I = Ideal([x**2])
+        assert I.graded_dim(2) == 1
+        I._set_basis([x])
+        assert I.graded_dim(2) == 2
+
     def test_graded_dim_principal(self):
         x, y = variables(2)
         I = Ideal([x * y])

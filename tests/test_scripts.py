@@ -107,6 +107,29 @@ def test_bench_compares_the_labels_against_each_bound(
                                        "status": "within"}
 
 
+@pytest.mark.parametrize("parent_failed, change_failed, status", [
+    ((0, 0), (0, 0), "within"),
+    ((1, 0), (0, 1), "within"),
+    ((0, 0), (0, 1), "worse"),
+    ((2, 1), (0, 0), "within"),
+])
+def test_bench_compares_the_share_of_failed_checks(
+        tmp_path, monkeypatch, parent_failed, change_failed, status):
+    bench = _load_bench()
+    # seeds 0-1 run on the parent side, 2-3 on the change side; every
+    # canned run attempts 6 checks
+    failed = parent_failed + change_failed
+    monkeypatch.setattr(bench, "run_once", lambda checkout, workload, seed:
+                        _canned_run(seed, 4.0, failed=failed[seed]))
+    out = tmp_path / "BENCH_1.json"
+    for label, seeds in (("parent", "01"), ("change", "23")):
+        bench.main(["--label", label, "--workload", "powers", "--seed",
+                    *seeds, "--out", str(out)])
+    shares = json.loads(out.read_text())["comparison"]["powers"]["fail_share"]
+    assert shares == {"parent": sum(parent_failed) / 12,
+                      "change": sum(change_failed) / 12, "status": status}
+
+
 def test_bench_refuses_a_run_from_another_environment():
     bench = _load_bench()
     record = bench.merge({}, "parent", "operators",

@@ -1,9 +1,11 @@
+import itertools
 import random
 from pathlib import Path
 
 import pytest
 
 import diagonals
+from diagonals import weyl
 from diagonals.linalg import identity, mat, mat_mul
 from diagonals.polyring import (
     Polynomial,
@@ -13,7 +15,7 @@ from diagonals.polyring import (
     to_string,
     variables,
 )
-from diagonals.weyl import WeylGroup, root_system
+from diagonals.weyl import RootSystem, WeylGroup, root_system
 from support import naive_average
 
 
@@ -211,7 +213,7 @@ def test_averaging_state_stays_in_weyl():
     # averaging over the group is weyl.py's job: no other module of the
     # package reads the coset and orbit state it keeps
     private = ("_monomial_action", "_coset_inverses", "_projection_pairs",
-               "projection_memo")
+               "projection_memo", "_rep_coefficients")
     package = Path(diagonals.__file__).parent
     readers = {p.name: [n for n in private if n in p.read_text()]
                for p in package.glob("*.py")}
@@ -227,6 +229,27 @@ def test_monomial_cosets_partition_the_group(name):
     products = [mat_mul(h, rinv) for h in W._monomial
                 for rinv in W._coset_inverses]
     assert sorted(products) == sorted(W.elements)
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "A3", "A4", "B2", "B3", "C3",
+                                  "D2", "D3", "D4", "G2"])
+def test_monomial_subgroup_holds_every_coordinate_permutation(name):
+    # orbit_projection sorts exponent pairs by a coordinate permutation
+    W = WeylGroup(root_system(name))
+    eye = identity(W.ambient)
+    members = set(W._monomial)
+    assert all(tuple(eye[i] for i in perm) in members
+               for perm in itertools.permutations(range(W.ambient)))
+
+
+def test_group_without_coordinate_transpositions_is_refused(monkeypatch):
+    # the sign changes of B2 alone close to an order-4 group with no
+    # permutation matrix
+    rs = root_system("B2")
+    flips = RootSystem("B", 2, 2, rs.positive_roots[2:], rs.positive_roots[2:])
+    monkeypatch.setitem(weyl.EXPECTED_ORDER, "B", lambda r: 4)
+    with pytest.raises(RuntimeError, match="transposition of coordinates"):
+        WeylGroup(flips)
 
 
 def test_family_parsing():
