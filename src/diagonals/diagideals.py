@@ -32,7 +32,6 @@ from .groebner import (
 )
 from .linalg import RowEchelon
 from .polyring import (
-    GREVLEX,
     ONE,
     Polynomial,
     monomials_of_bidegree,
@@ -95,7 +94,7 @@ def discriminant(rs: RootSystem) -> Polynomial:
 
 def primitive_part(f: Polynomial) -> Polynomial:
     """Rescale to coprime integer coefficients with positive leading one."""
-    g = _to_g(f.terms, GREVLEX.key)
+    g = _to_g(f.terms)
     return Polynomial(f.nvars, {m: c for _, m, c in g})
 
 

@@ -1,7 +1,9 @@
 """Buchberger engine and ideal arithmetic over exact rationals.
 
-The kernel works on integer-primitive term lists with precomputed order
-keys.  Keys are additive (key(u*v) = key(u) + key(v)), so shifting a
+The kernel works on integer-primitive term lists with precomputed grevlex
+keys (polyring.grevlex_key).  The one exception is the elimination ideal
+of ideal_intersect, whose terms carry a private block-order key instead.
+Both keys are additive (key(u*v) = key(u) + key(v)), so shifting a
 polynomial by a monomial never re-derives keys from exponents.  Reduction
 is fraction-free: cross-multiplied subtractions keep everything in ZZ, and
 one integer scale per reduction records the factor by which the result
@@ -18,8 +20,8 @@ pair would have if the input were homogenized, so under the block order of
 ideal_intersect, whose keys put the t-degree first, pairs still come in
 order of total degree; on homogeneous grevlex input it is the lcm degree
 and the order is the normal strategy's (smallest lcm first).  All choices
-are deterministic, so a basis is a pure function of the generators, the
-order, and nothing else.
+are deterministic, so a basis is a pure function of the generators and
+nothing else.
 """
 
 from __future__ import annotations
@@ -33,10 +35,7 @@ from dataclasses import dataclass, field
 from operator import add, sub
 
 from .polyring import (
-    GREVLEX,
-    EliminationOrder,
     Monomial,
-    MonomialOrder,
     ONE,
     Polynomial,
     QQ,
@@ -44,6 +43,7 @@ from .polyring import (
     ZERO,
     _divides,
     count_monomials,
+    grevlex_key,
     monomials_of_degree,
 )
 
@@ -111,7 +111,7 @@ class BudgetExceeded(RuntimeError):
 # leading coefficient.
 
 
-def _to_g(terms: dict, keyf) -> list:
+def _to_g(terms: dict, keyf=grevlex_key) -> list:
     """Rational term dict -> primitive gpoly."""
     if not terms:
         return []
@@ -422,7 +422,7 @@ def _g_to_poly(g: list, nvars: int) -> Polynomial:
 
 
 class Ideal:
-    """Finitely generated ideal with a cached reduced basis.
+    """Finitely generated ideal with a cached reduced basis under grevlex.
 
     The ideal holds the budget of every computation on it: its basis, its
     membership tests and the layers that take it as input.  With no budget
@@ -436,8 +436,12 @@ class Ideal:
     outside it, and reports an inconclusive relation otherwise.
     """
 
-    def __init__(self, gens, order: MonomialOrder = GREVLEX, *,
-                 nvars: int | None = None, generated_up_to: int | None = None,
+    # key of the kernel's terms; only ideal_intersect replaces it, on its
+    # elimination ideal
+    _key = staticmethod(grevlex_key)
+
+    def __init__(self, gens, *, nvars: int | None = None,
+                 generated_up_to: int | None = None,
                  budget: Budget | None = None):
         gens = tuple(g for g in gens if g)
         if not gens and nvars is None:
@@ -447,7 +451,6 @@ class Ideal:
             if g.nvars != self.nvars:
                 raise RingContextError("generators live in different rings")
         self.gens = gens
-        self.order = order
         self.generated_up_to = generated_up_to
         self.budget = Budget.from_env() if budget is None else budget
         self._gb: tuple | None = None
@@ -458,7 +461,7 @@ class Ideal:
 
     def groebner_basis(self) -> tuple:
         if self._gb is None:
-            keyf = self.order.key
+            keyf = self._key
             basis = _Basis(keyf, self.budget)
             for g in sorted((_to_g(g.terms, keyf) for g in self.gens),
                             key=lambda p: (p[0][0], p)):
@@ -472,11 +475,11 @@ class Ideal:
         self.groebner_basis()
         return self._gbg
 
-    def _set_basis(self, polys) -> None:
-        """Install an externally computed reduced basis (trusted)."""
-        keyf = self.order.key
-        self._gb = tuple(polys)
-        self._gbg = [_to_g(g.terms, keyf) for g in polys]
+    def _set_basis(self, gbasis: list) -> None:
+        """Install a reduced basis computed elsewhere (trusted): primitive
+        gpolys under grevlex, sorted ascending by lead key."""
+        self._gbg = gbasis
+        self._gb = tuple(_g_to_poly(g, self.nvars) for g in gbasis)
         self._numerator = None
 
     # -- membership ----------------------------------------------------------
@@ -486,7 +489,7 @@ class Ideal:
             raise RingContextError("polynomial in a different ring")
         if not f:
             return f
-        g = _to_g(f.terms, self.order.key)
+        g = _to_g(f.terms, self._key)
         r, scale = _g_nf(g, self._core(), self.budget)
         # _to_g rescaled f to a primitive integer gpoly; undo that factor too
         factor = f.terms[g[0][1]] / (g[0][2] * scale)
@@ -497,7 +500,7 @@ class Ideal:
             raise RingContextError("polynomial in a different ring")
         if not f:
             return True
-        return _g_nf(_to_g(f.terms, self.order.key), self._core(),
+        return _g_nf(_to_g(f.terms, self._key), self._core(),
                      self.budget, member_only=True) is not None
 
     # -- graded data ---------------------------------------------------------
@@ -516,7 +519,7 @@ class Ideal:
     # -- misc ----------------------------------------------------------------
 
     def __repr__(self):
-        return f"Ideal({len(self.gens)} gens, {self.nvars} vars, {self.order.name})"
+        return f"Ideal({len(self.gens)} gens, {self.nvars} vars)"
 
 
 # ---------------------------------------------------------------------------
@@ -528,7 +531,7 @@ def ideal_product(I: Ideal, J: Ideal) -> Ideal:
     """Generated by the products of the two reduced bases."""
     _same_ring(I, J)
     gens = [f * g for f in I.groebner_basis() for g in J.groebner_basis()]
-    return Ideal(gens, I.order, nvars=I.nvars, budget=I.budget)
+    return Ideal(gens, nvars=I.nvars, budget=I.budget)
 
 
 def ideal_power(I: Ideal, k: int) -> Ideal:
@@ -538,7 +541,7 @@ def ideal_power(I: Ideal, k: int) -> Ideal:
     gens = [math.prod(combo, start=Polynomial.constant(I.nvars, 1))
             for combo in itertools.combinations_with_replacement(
                 I.groebner_basis(), k)]
-    return Ideal(gens, I.order, nvars=I.nvars, budget=I.budget)
+    return Ideal(gens, nvars=I.nvars, budget=I.budget)
 
 
 def _extend(f: Polynomial, extra: int = 1) -> Polynomial:
@@ -546,22 +549,24 @@ def _extend(f: Polynomial, extra: int = 1) -> Polynomial:
                       {m + (0,) * extra: c for m, c in f.terms.items()})
 
 
-def _restrict(f: Polynomial, nvars: int) -> Polynomial:
-    terms = {}
-    for m, c in f.terms.items():
-        if any(m[nvars:]):
-            raise ValueError("polynomial involves dropped variables")
-        terms[m[:nvars]] = c
-    return Polynomial(nvars, terms)
+def _elimination_key(mono: Monomial) -> tuple:
+    """Block order of ideal_intersect: the degree in t, the last variable,
+    then grevlex on the rest.  Additive, like grevlex_key."""
+    return (mono[-1],) + grevlex_key(mono[:-1])
 
 
 def ideal_intersect(I: Ideal, J: Ideal) -> Ideal:
-    """Intersection via the single-auxiliary-variable trick.
+    """Intersection via the single-auxiliary-variable trick (Cox, Little
+    and O'Shea, Ideals, Varieties, and Algorithms, ch. 3-4).
 
-    Generators t*f and (1-t)*g over the extended ring, then elimination of
-    t with a block order.  The auxiliary variable counts for degree zero in
-    the ideal's own grading, so graded structure passes through untouched.
-    The elimination ideal and the result keep I's budget.
+    The elimination ideal E is generated by t*f and (1-t)*g over the ring
+    extended by t, and its basis is taken under _elimination_key, which
+    ranks any monomial with t above every monomial without.  The elements
+    of E's reduced basis free of t then form the reduced basis of I cap J:
+    the block order restricts to grevlex there, so dropping t's exponent
+    and its key entry leaves grevlex gpolys in lead order.  The
+    intersection is generated by them and carries that basis.  E and the
+    result keep I's budget.
     """
     _same_ring(I, J)
     n = I.nvars
@@ -569,16 +574,13 @@ def ideal_intersect(I: Ideal, J: Ideal) -> Ideal:
     one = Polynomial.constant(n + 1, 1)
     gens = [_extend(f) * t for f in I.gens]
     gens += [_extend(g) * (one - t) for g in J.gens]
-    order = EliminationOrder(frozenset({n}))
-    E = Ideal(gens, order, nvars=n + 1, budget=I.budget)
-    kept = [g for g in E.groebner_basis()
-            if all(m[n] == 0 for m in g.terms)]
-    result = Ideal([_restrict(g, n) for g in kept], I.order, nvars=n,
+    E = Ideal(gens, nvars=n + 1, budget=I.budget)
+    E._key = _elimination_key
+    basis = [[(k[1:], m[:n], c) for k, m, c in g]
+             for g in E._core() if not g[0][1][n]]
+    result = Ideal([_g_to_poly(g, n) for g in basis], nvars=n,
                    budget=I.budget)
-    if isinstance(I.order, type(GREVLEX)):
-        # the block order restricts to grevlex on the kept variables, so the
-        # surviving elements are already the reduced basis, in lead order
-        result._set_basis(result.gens)
+    result._set_basis(basis)
     return result
 
 
@@ -613,8 +615,7 @@ def _same_ring(I: Ideal, J: Ideal) -> None:
 def _walk(candidates, full: Ideal, max_degree: int) -> tuple:
     """(kept, basis) of the degree walk of minimal_generators; the basis is
     a Groebner basis of the kept generators through max_degree."""
-    keyf = full.order.key
-    basis = _Basis(keyf, full.budget)
+    basis = _Basis(grevlex_key, full.budget)
     kept: list = []
     for d in range(max_degree + 1):
         full.budget.check("minimal generators", len(basis.polys))
@@ -624,7 +625,7 @@ def _walk(candidates, full: Ideal, max_degree: int) -> tuple:
         if covered == full.graded_dim(d):
             continue
         kept += [f for f in candidates(d)
-                 if basis.add(_to_g(f.terms, keyf), d)]
+                 if basis.add(_to_g(f.terms), d)]
     return kept, basis
 
 
@@ -644,9 +645,9 @@ def minimal_generators(candidates, full: Ideal, max_degree: int) -> Ideal:
     """
     kept, basis = _walk(candidates, full, max_degree)
     basis.run()
-    P = Ideal(kept, full.order, nvars=full.nvars, generated_up_to=max_degree,
+    P = Ideal(kept, nvars=full.nvars, generated_up_to=max_degree,
               budget=full.budget)
-    P._set_basis([_g_to_poly(g, full.nvars) for g in basis.reduced()])
+    P._set_basis(basis.reduced())
     return P
 
 
@@ -677,7 +678,6 @@ def nf_monomial_table(I: Ideal, d: int) -> dict:
     ascending pass fills the table.  Returns mono -> {standard mono: QQ}.
     I's budget is checked every 256 monomials.
     """
-    keyf = I.order.key
     entries = []
     for g in I._core():
         if len({sum(m) for _, m, _ in g}) != 1:
@@ -685,7 +685,8 @@ def nf_monomial_table(I: Ideal, d: int) -> dict:
         lc = g[0][2]
         entries.append((g[0][1], [(m, QQ(-c, lc)) for _, m, c in g[1:]]))
     table: dict = {}
-    for i, m in enumerate(sorted(monomials_of_degree(I.nvars, d), key=keyf), 1):
+    for i, m in enumerate(sorted(monomials_of_degree(I.nvars, d),
+                                   key=grevlex_key), 1):
         if not i % 256:
             I.budget.check("normal-form tables")
         for lead, tail in entries:

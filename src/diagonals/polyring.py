@@ -3,10 +3,16 @@
 A ring context is just a number of variables.  In the doubled reflection
 rings used downstream the first n variables are the x-coordinates on the
 reflection representation and the last n are the dual y-coordinates;
-auxiliary elimination variables, when present, sit after the y-block.
+the auxiliary variable of an intersection, when present, sits after the
+y-block.
 
 Coefficients are exact rationals (gmpy2.mpq when installed, else
 fractions.Fraction).  Nothing in this package touches floating point.
+
+There is one monomial order, grevlex (grevlex_key): leading terms,
+printing and every Groebner basis use it.  The one exception is the
+block order that eliminates the auxiliary variable of an intersection,
+which groebner.ideal_intersect keeps to itself.
 
 Linear substitutions, which carry the group action, avoid rational
 arithmetic in their inner loop: a non-monomial matrix is scaled to integers
@@ -22,7 +28,7 @@ from __future__ import annotations
 import math
 import random
 import re
-from dataclasses import dataclass
+from operator import neg
 from typing import Iterator, Mapping, Sequence
 
 try:
@@ -45,79 +51,17 @@ class ExactDivisionError(ArithmeticError):
 
 
 # ---------------------------------------------------------------------------
-# monomial orders
+# monomial order
 # ---------------------------------------------------------------------------
 
 
-class MonomialOrder:
-    """Total multiplicative well-order on exponent vectors.
-
-    Orders are exposed as sort keys.  Every key here is additive,
-    key(u*v) = key(u) + key(v) componentwise, which the Groebner kernel
-    exploits when shifting a polynomial by a monomial.
-    """
-
-    name = "order"
-
-    def key(self, mono: Monomial) -> tuple:
-        raise NotImplementedError
-
-
-@dataclass(frozen=True)
-class GrevLex(MonomialOrder):
-    """Graded reverse lexicographic order."""
-
-    name = "grevlex"
-
-    def key(self, mono: Monomial) -> tuple:
-        out = [0]
-        total = 0
-        for e in mono:
-            total += e
-        out[0] = total
-        out.extend(-e for e in reversed(mono))
-        return tuple(out)
-
-
-@dataclass(frozen=True)
-class Lex(MonomialOrder):
-    """Plain lexicographic order, first variable strongest."""
-
-    name = "lex"
-
-    def key(self, mono: Monomial) -> tuple:
-        return tuple(mono)
-
-
-@dataclass(frozen=True)
-class EliminationOrder(MonomialOrder):
-    """Block order: grevlex on the eliminated block, then grevlex on the rest.
-
-    Any monomial involving an eliminated variable beats any monomial that
-    avoids them all, so basis elements free of the block generate the
-    elimination ideal.
-    """
-
-    eliminated: frozenset
-
-    name = "elim"
-
-    def __post_init__(self):
-        object.__setattr__(self, "_elim", tuple(sorted(self.eliminated)))
-
-    def key(self, mono: Monomial) -> tuple:
-        elim = self._elim
-        inside = [mono[i] for i in elim]
-        keep = [e for i, e in enumerate(mono) if i not in self.eliminated]
-        out = [sum(inside)]
-        out.extend(-e for e in reversed(inside))
-        out.append(sum(keep))
-        out.extend(-e for e in reversed(keep))
-        return tuple(out)
-
-
-GREVLEX = GrevLex()
-LEX = Lex()
+def grevlex_key(mono: Monomial) -> tuple:
+    """Sort key of graded reverse lexicographic order, the one order of
+    this package: total degree, then the exponents negated from the last
+    variable back.  The key is additive, key(u*v) = key(u) + key(v)
+    componentwise, which the Groebner kernel exploits when shifting a
+    polynomial by a monomial."""
+    return (sum(mono), *map(neg, reversed(mono)))
 
 
 # ---------------------------------------------------------------------------
@@ -219,13 +163,13 @@ class Polynomial:
     def coefficient(self, mono: Monomial):
         return self.terms.get(tuple(mono), ZERO)
 
-    def leading_monomial(self, order: MonomialOrder = GREVLEX) -> Monomial:
+    def leading_monomial(self) -> Monomial:
         if not self.terms:
             raise ValueError("zero polynomial has no leading monomial")
-        return max(self.terms, key=order.key)
+        return max(self.terms, key=grevlex_key)
 
-    def leading_coefficient(self, order: MonomialOrder = GREVLEX):
-        return self.terms[self.leading_monomial(order)]
+    def leading_coefficient(self):
+        return self.terms[self.leading_monomial()]
 
     # -- arithmetic --------------------------------------------------------
 
@@ -377,14 +321,13 @@ def exact_divide_linear(f: Polynomial, ell: Polynomial) -> Polynomial:
         raise RingContextError("divisor lives in a different ring")
     if ell.total_degree() != 1:
         raise ExactDivisionError("divisor must have total degree exactly 1")
-    order = GREVLEX
-    lm = ell.leading_monomial(order)
+    lm = ell.leading_monomial()
     lc = ell.terms[lm]
     rest = [(m, c) for m, c in ell.terms.items() if m != lm]
     num = dict(f.terms)
     quo: dict = {}
     while num:
-        m = max(num, key=order.key)
+        m = max(num, key=grevlex_key)
         c = num.pop(m)
         if not _divides(lm, m):
             raise ExactDivisionError(f"remainder term {m} not divisible")
@@ -628,13 +571,12 @@ def _coeff_str(c) -> str:
     return str(c)
 
 
-def to_string(f: Polynomial, order: MonomialOrder = GREVLEX,
-              names: Sequence[str] | None = None) -> str:
+def to_string(f: Polynomial, names: Sequence[str] | None = None) -> str:
     if not f.terms:
         return "0"
     names = list(names) if names is not None else default_names(f.nvars)
     parts = []
-    for m in sorted(f.terms, key=order.key, reverse=True):
+    for m in sorted(f.terms, key=grevlex_key, reverse=True):
         c = f.terms[m]
         factors = [f"{names[i]}^{e}" if e > 1 else names[i]
                    for i, e in enumerate(m) if e]

@@ -188,9 +188,21 @@ class TestReport:
 
 class TestExitCodes:
     def test_budget_abort_is_two(self, capsys, monkeypatch):
-        # the target runs several times the limit, so the run aborts
-        # partway instead of finishing inside it
-        monkeypatch.setenv("DIAGONALS_MAX_SECONDS", "0.2")
+        # a spent budget that passes its first 20 checks: the target makes
+        # several hundred, so the run aborts partway however fast it is
+        class AfterChecks(Budget):
+            left = 20
+
+            @classmethod
+            def from_env(cls):
+                return cls(max_seconds=0)
+
+            def check(self, name, basis_size=None):
+                self.left -= 1
+                if self.left < 0:
+                    super().check(name, basis_size)
+
+        monkeypatch.setattr(cli, "Budget", AfterChecks)
         code, out = run(capsys, ["verify", "delta-identity"])
         assert code == 2
         assert out.startswith("ABORT")
