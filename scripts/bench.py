@@ -19,6 +19,11 @@ the parent's spread (q3 - q1) / median, the metric's bound from
 BENCHMARK.json, and a status: `worse` when the change is worse by more
 than the bound, `unresolved` when the parent's spread reaches the bound
 and not every change run beats every parent run, `within` otherwise.
+Each metric's `paired` entry pairs the i-th parent run of the workload
+with its i-th change run and gives the pair count n, the median and
+quartiles of change/parent - 1 over the pairs, and the number of pairs
+the change won; a host-speed drift during the record moves both runs of
+a pair, so it widens the label spread but not the pair ratios.
 The comparison's fail_share gives each label's failed checks over
 attempted ones, with status `worse` when the change's share is higher.
 Lower reads better on every end-to-end metric.  Every run must
@@ -75,6 +80,15 @@ def quartiles(values: list) -> dict:
             "n": len(values)}
 
 
+def paired(parent: list, change: list) -> dict:
+    """Median and quartiles of change/parent - 1 over the pairs of the
+    i-th parent run with the i-th change run, the pair count n, and the
+    number of pairs the change won (ran lower)."""
+    pairs = list(zip(parent, change))
+    return {**quartiles([c / p - 1 for p, c in pairs]),
+            "won": sum(c < p for p, c in pairs)}
+
+
 def compare_labels(record: dict, workload: str) -> dict:
     """Paired verdict of each end-to-end metric, and of the share of
     failed checks, on workload."""
@@ -96,7 +110,8 @@ def compare_labels(record: dict, workload: str) -> dict:
         else:
             status = "within"
         out[name] = {"change_vs_parent": ratio, "parent_spread": spread,
-                     "bound": limits[name], "status": status}
+                     "bound": limits[name], "status": status,
+                     "paired": paired(parent, change)}
     shares = {}
     for label in ("parent", "change"):
         runs = [r["result"] for r in record["runs"][label][workload]]

@@ -6,9 +6,9 @@ of ideal_intersect, whose terms carry a private block-order key instead.
 Both keys are additive (key(u*v) = key(u) + key(v)), so shifting a
 polynomial by a monomial never re-derives keys from exponents.  Reduction
 is fraction-free: cross-multiplied subtractions keep everything in ZZ, and
-one integer scale per reduction records the factor by which the result
-differs from the exact rational normal form.  Rationals appear only where
-a Polynomial goes in or comes out.
+a remainder is only known up to a unit, a nonzero rational factor, which
+is all that basis insertion and membership need.  Rationals appear only
+where a Polynomial goes in or comes out.
 
 Pair management follows the classic update procedure with the product and
 chain criteria.  Selection is the sugar strategy of Giovini, Mora, Niesi,
@@ -174,20 +174,18 @@ def _combine(a: int, f: list, skip: int, h: list) -> list:
 
 
 def _g_nf(fg: list, basis: list, budget: Budget, member_only: bool = False):
-    """Full normal form of a gpoly against a list of gpolys.
+    """Full normal form of a gpoly against a list of gpolys, up to a unit.
 
-    Returns (r, scale): r is an integer gpoly in key order, not always
-    primitive, and r / scale is the exact normal form of the input.  A step
-    replaces the work list, irreducible terms included, by a*work - b*u*g
-    and strips its content, keeping input = work * den / scale modulo the
-    basis with coprime positive integers scale and den; den moves into r at
-    the end.  With member_only, returns None at the first irreducible term
-    (the input is then not in the ideal).  The budget is checked every 256
+    Returns the primitive gpoly of the remainder, [] when the input reduces
+    to 0.  A step replaces the work list, irreducible terms included, by
+    a*work - b*u*g and strips its content, so the result is a nonzero
+    rational multiple of the exact normal form; its scale is not kept.
+    With member_only, returns None at the first irreducible term (the
+    input is then not in the ideal).  The budget is checked every 256
     steps.
     """
     work = fg
     pos = 0
-    scale = den = 1
     steps = 0
     while pos < len(work):
         steps += 1
@@ -210,19 +208,10 @@ def _g_nf(fg: list, basis: list, budget: Budget, member_only: bool = False):
         ukey = tuple(map(sub, k, gk))
         h = _shifted(red[1:], umono, ukey, b)
         work = _combine(a, work, pos, h)
-        if a != 1:
-            q = math.gcd(a, den)
-            scale *= a // q
-            den //= q
         g0 = _content(work)
         if g0 > 1:
             work = [(kk, mm, cc // g0) for kk, mm, cc in work]
-            q = math.gcd(g0, scale)
-            scale //= q
-            den *= g0 // q
-    if den != 1:
-        work = [(kk, mm, cc * den) for kk, mm, cc in work]
-    return work, scale
+    return _primitive(work)
 
 
 def _g_spoly(f: list, g: list, keyf) -> list:
@@ -236,7 +225,7 @@ def _g_spoly(f: list, g: list, keyf) -> list:
     ug = tuple(map(sub, lcm_m, mg))
     F = _shifted(f, uf, keyf(uf), a)
     G = _shifted(g[1:], ug, keyf(ug), b)
-    return _primitive(_combine(1, F, 0, G))
+    return _combine(1, F, 0, G)
 
 
 def _coprime(a: Monomial, b: Monomial) -> bool:
@@ -244,7 +233,8 @@ def _coprime(a: Monomial, b: Monomial) -> bool:
 
 
 class _Basis:
-    """A growing Groebner basis: primitive gpolys with their leads and
+    """A growing Groebner basis: primitive gpolys, each a remainder of
+    _g_nf as it comes (a normal form up to a unit), with their leads and
     sugars, and the heap of pairs not yet reduced.
 
     On homogeneous input a pair's sugar is its degree, so after run(d) the
@@ -262,12 +252,12 @@ class _Basis:
         self.pops = 0
 
     def add(self, g: list, sugar: int) -> bool:
-        """Insert the normal form of gpoly g with the given sugar when it is
-        nonzero; return whether it was inserted."""
-        r, _ = _g_nf(g, self.polys, self.budget)
+        """Insert the normal form of gpoly g, up to a unit, with the given
+        sugar when it is nonzero; return whether it was inserted."""
+        r = _g_nf(g, self.polys, self.budget)
         if not r:
             return False
-        self.polys.append(_primitive(r))
+        self.polys.append(r)
         self.leads.append(r[0][1])
         self.sugars.append(sugar)
         self._update_pairs(len(self.polys) - 1)
@@ -352,8 +342,7 @@ class _Basis:
         reduced: list = []
         for pos, g in enumerate(minimal):
             others = reduced + minimal[pos + 1:]
-            r, _ = _g_nf(g, others, self.budget)
-            reduced.append(_primitive(r))
+            reduced.append(_g_nf(g, others, self.budget))
         return reduced
 
 
@@ -424,6 +413,10 @@ def _g_to_poly(g: list, nvars: int) -> Polynomial:
 class Ideal:
     """Finitely generated ideal with a cached reduced basis under grevlex.
 
+    contains is the one membership test.  The kernel under it reduces up
+    to a unit, so the ideal offers no exact normal form of a polynomial;
+    nf_monomial_table gives those of the monomials of one degree.
+
     The ideal holds the budget of every computation on it: its basis, its
     membership tests and the layers that take it as input.  With no budget
     given it reads one from the environment, whose clock starts with the
@@ -484,18 +477,9 @@ class Ideal:
 
     # -- membership ----------------------------------------------------------
 
-    def normal_form(self, f: Polynomial) -> Polynomial:
-        if f.nvars != self.nvars:
-            raise RingContextError("polynomial in a different ring")
-        if not f:
-            return f
-        g = _to_g(f.terms, self._key)
-        r, scale = _g_nf(g, self._core(), self.budget)
-        # _to_g rescaled f to a primitive integer gpoly; undo that factor too
-        factor = f.terms[g[0][1]] / (g[0][2] * scale)
-        return Polynomial(self.nvars, {m: c * factor for _, m, c in r})
-
     def contains(self, f: Polynomial) -> bool:
+        """Whether f lies in the ideal: the one membership test, which
+        stops at the first term of f's reduction that no lead divides."""
         if f.nvars != self.nvars:
             raise RingContextError("polynomial in a different ring")
         if not f:

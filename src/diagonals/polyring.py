@@ -559,12 +559,11 @@ def random_polynomial(rng: random.Random, nvars: int, max_deg: int,
 
 
 def default_names(nvars: int) -> list[str]:
-    """x1..xn,y1..yn for even rings; trailing t1.. for auxiliary variables."""
+    """x1..xn,y1..yn for even rings, then t for an odd ring's last variable,
+    the auxiliary one of groebner.ideal_intersect."""
     n = nvars // 2
     names = [f"x{i + 1}" for i in range(n)] + [f"y{i + 1}" for i in range(n)]
-    for k in range(nvars - 2 * n):
-        names.append(f"t{k + 1}" if nvars - 2 * n > 1 else "t")
-    return names
+    return names + ["t"] * (nvars % 2)
 
 
 def _coeff_str(c) -> str:

@@ -224,6 +224,8 @@ class TestText:
         f = x1**2 * y2 - QQ(1, 2) * x2
         assert to_string(f) == "x1^2*y2 - 1/2*x2"
         assert to_string(Polynomial.zero(4)) == "0"
+        # an odd ring's last variable is the auxiliary t
+        assert to_string(Polynomial(5, {(1, 0, 0, 0, 2): QQ(3)})) == "3*x1*t^2"
 
     @given(polynomials(4))
     def test_roundtrip(self, f):

@@ -102,9 +102,38 @@ def test_bench_compares_the_labels_against_each_bound(
     assert verdict["change_vs_parent"] == pytest.approx(ratio)
     assert verdict["parent_spread"] == pytest.approx(spread)
     # the canned runs hold memory and set-up time fixed
-    assert compared["peak_rss_mb"] == {"change_vs_parent": 0.0,
-                                       "parent_spread": 0.0, "bound": 0.05,
-                                       "status": "within"}
+    assert compared["peak_rss_mb"] == {
+        "change_vs_parent": 0.0, "parent_spread": 0.0, "bound": 0.05,
+        "status": "within",
+        "paired": {"median": 0.0, "q1": 0.0, "q3": 0.0, "n": 3, "won": 0}}
+
+
+def test_bench_pairs_runs_through_a_host_speed_drift(tmp_path, monkeypatch):
+    bench = _load_bench()
+    # both labels run slow for the first four pairs and fast for the last
+    # four; within each pair the change is within 2 % of the parent
+    parent = (2.0, 2.4, 2.2, 2.3, 1.3, 1.4, 1.2, 1.35)
+    factor = (1.01, 0.99, 1.02, 0.98, 1.01, 0.99, 1.0, 0.995)
+    change = tuple(p * f for p, f in zip(parent, factor))
+    verdicts = dict(enumerate(parent + change))
+    monkeypatch.setattr(bench, "run_once", lambda checkout, workload, seed:
+                        _canned_run(seed, verdicts[seed]))
+    out = tmp_path / "BENCH_1.json"
+    for i in range(len(parent)):
+        for label, seed in (("parent", i), ("change", len(parent) + i)):
+            bench.main(["--label", label, "--workload", "monomial-b3",
+                        "--seed", str(seed), "--out", str(out)])
+    verdict = json.loads(out.read_text())["comparison"]["monomial-b3"][
+        "verdict_s"]
+    # the label medians cannot tell the drift from the change
+    assert verdict["parent_spread"] > verdict["bound"]
+    assert verdict["status"] == "unresolved"
+    # the pairs can
+    pairs = verdict["paired"]
+    assert pairs["n"] == 8 and pairs["won"] == 4
+    assert abs(pairs["median"]) < 0.005
+    assert pairs["q1"] == pytest.approx(-0.01, abs=0.003)
+    assert pairs["q3"] == pytest.approx(0.01, abs=0.003)
 
 
 @pytest.mark.parametrize("parent_failed, change_failed, status", [
