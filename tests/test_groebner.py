@@ -394,14 +394,12 @@ def _candidate_lists(seed):
 
 def _rebuilt_walk(candidates, top):
     """The walk by plain linear algebra, with no Groebner basis: in degree
-    d a RowEchelon holds the degree-d monomial multiples of the generators
-    kept so far, and a candidate is kept when it raises the rank."""
+    d a RowEchelon holds the monomial multiples through degree d of the
+    generators kept so far (only those of degree d meet a candidate), and
+    a candidate is kept when it raises the rank."""
     kept = []
     for d in range(top + 1):
-        ech = RowEchelon()
-        for g in kept:
-            for m in monomials_of_degree(g.nvars, d - g.total_degree()):
-                ech.add((Polynomial(g.nvars, {m: 1}) * g).terms)
+        ech = _multiples(kept, d)
         kept += [f for f in candidates(d) if ech.add(f.terms)]
     return kept
 
