@@ -91,12 +91,43 @@ class TestBuchbergerBasics:
         assert gb == (Polynomial.constant(2, 1),)
 
 
+def _remainder(I, f):
+    """The kernel's remainder of f against I's reduced basis, a normal form
+    up to a unit, as a monic Polynomial (zero for a member)."""
+    r = groebner._g_nf(groebner._to_g(f.terms), I._core(), I.budget)
+    return groebner._g_to_poly(r, f.nvars) if r else Polynomial.zero(f.nvars)
+
+
 class TestNormalForm:
+    def test_nf_is_reduced(self):
+        x, y = variables(2)
+        I = Ideal([x**2 - y, y**2 - x])
+        f = x**4 + x * y
+        nf = _remainder(I, f)
+        leads = [g.leading_monomial() for g in I.groebner_basis()]
+        for m in nf.terms:
+            assert not any(all(a <= b for a, b in zip(l, m)) for l in leads)
+        # x^4 = y^2 = x modulo I, so the remainder is x*y + x up to a unit
+        assert nf == x * y + x
+        assert I.contains(f - nf)
+
     def test_membership(self):
         x, y, z = variables(3)
         I = Ideal([x * y - z**2, x - y])
         assert I.contains(y * (x * y - z**2) + z * (x - y))
         assert not I.contains(x)
+
+    def test_nf_linear_over_ideal(self):
+        x, y = variables(2)
+        I = Ideal([x**2 - y])
+        f, g = x**3, y * x
+        # f and g agree modulo I, so f, g, f + g and f plus any member
+        # have one remainder up to a unit
+        assert _remainder(I, f) == x * y
+        assert _remainder(I, g) == x * y
+        assert _remainder(I, f + g) == x * y
+        assert _remainder(I, f + (3 * x * y + 1) * (x**2 - y)) == x * y
+        assert _remainder(I, 2 * f - 2 * g) == Polynomial.zero(2)
 
     @settings(max_examples=25)
     @given(st.integers(0, 10 ** 6))
@@ -132,13 +163,13 @@ def _multiples(gens, top):
     return ech
 
 
-class TestKernelRemainder:
+class TestNonMonicNormalForm:
     """The kernel's remainder is the normal form up to a unit.  Every
     reduction step by a non-monic basis element scales the terms already
     found irreducible, so those must keep their share of that scale."""
 
     @pytest.mark.parametrize("seed", range(40))
-    def test_remainder_is_primitive_reduced_and_congruent(self, seed):
+    def test_nf_is_reduced_and_congruent(self, seed):
         x, y, z = variables(3)
         gens = [3 * x**2 + 2 * y * z, 5 * y**2 - 7 * x * z]
         I = Ideal(gens)
