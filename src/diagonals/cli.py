@@ -443,21 +443,11 @@ def _table_text(n: int) -> str:
     return "\n".join(lines)
 
 
-def _table_json(n: int) -> list:
-    return [{
-        "partition": list(r["partition"]),
-        "labels": r["labels"],
-        "heart": list(r["heart"]),
-        "bipartition": [list(r["bipartition"][0]), list(r["bipartition"][1])],
-        "symbol": [list(r["symbol"][0]), list(r["symbol"][1])],
-    } for r in table_rows(n)]
-
-
 def _run(args, opts) -> tuple:
     """(report text, exit code) of a parsed command and its options."""
     if args.command == "cells":
         if args.format == "json":
-            return json.dumps(_table_json(args.n), indent=2,
+            return json.dumps(table_rows(args.n), indent=2,
                               sort_keys=True), 0
         return _table_text(args.n), 0
 

@@ -586,9 +586,11 @@ def intersect_many(ideals) -> Ideal:
 
 
 def ideal_equal(I: Ideal, J: Ideal) -> bool:
+    """Whether the ideals are equal: whether their reduced bases under
+    grevlex agree.  Primitive, with positive leads and sorted by lead, that
+    basis is unique to the ideal (Cox, Little and O'Shea, ch. 2 §7)."""
     _same_ring(I, J)
-    return (all(I.contains(g) for g in J.groebner_basis())
-            and all(J.contains(g) for g in I.groebner_basis()))
+    return I._core() == J._core()
 
 
 def _same_ring(I: Ideal, J: Ideal) -> None:

@@ -1,8 +1,8 @@
 """Small exact linear algebra helpers: dense rational matrices and a sparse
 incremental row-echelon rank tracker.
 
-Matrices are tuples of tuples of rationals.  Everything is fraction-free
-where it matters and exact everywhere.
+Matrices are tuples of tuples of rationals; all arithmetic is exact over
+QQ.
 """
 
 from __future__ import annotations
@@ -43,53 +43,6 @@ def block_diag(a: Matrix, b: Matrix) -> Matrix:
     rows = [tuple(row) + (ZERO,) * nb for row in a]
     rows += [(ZERO,) * na + tuple(row) for row in b]
     return tuple(rows)
-
-
-def mat_det(m: Matrix):
-    """Determinant by fraction-free-ish Gaussian elimination (exact)."""
-    n = len(m)
-    a = [list(row) for row in m]
-    det = ONE
-    for col in range(n):
-        pivot = None
-        for r in range(col, n):
-            if a[r][col]:
-                pivot = r
-                break
-        if pivot is None:
-            return ZERO
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-            det = -det
-        p = a[col][col]
-        det = det * p
-        for r in range(col + 1, n):
-            f = a[r][col] / p
-            if f:
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return det
-
-
-def mat_inv(m: Matrix) -> Matrix:
-    n = len(m)
-    a = [list(row) + [ONE if i == j else ZERO for j in range(n)]
-         for i, row in enumerate(m)]
-    for col in range(n):
-        pivot = None
-        for r in range(col, n):
-            if a[r][col]:
-                pivot = r
-                break
-        if pivot is None:
-            raise ValueError("matrix is singular")
-        a[col], a[pivot] = a[pivot], a[col]
-        p = a[col][col]
-        a[col] = [x / p for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col]:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return tuple(tuple(row[n:]) for row in a)
 
 
 class RowEchelon:

@@ -6,10 +6,14 @@ twelve-element dihedral group on the plane x1+x2+x3 = 0 inside R^3.
 Positive roots are listed in a fixed conventional order: coordinate
 differences first (i < j), then sums, then the short/long singles.
 
-The group acts on the doubled polynomial ring in (x, y): x-coordinates
-transform by w^{-1} (functions pull back) and y-coordinates by w^T, the
-dual action.  Signs come from determinants, which agree with the sign
-character because every ambient realization here is reflection-faithful.
+Every element is a product of reflections s_alpha = 1 - alpha (x) alpha^v
+with the coroot alpha^v = 2 alpha / (alpha . alpha) in the standard dot
+product, so every element is orthogonal: w^{-1} = w^T.  The group acts on
+the doubled polynomial ring in (x, y): x-coordinates transform by w^{-1}
+(functions pull back) and y-coordinates by w^T (the dual action), so both
+blocks transform by the one matrix w^T.  Signs come from the closure:
+each generator is a reflection of determinant -1, so the sign of an
+element is (-1)^length, its determinant.
 
 Averages over W go through its subgroup H of monomial matrices: rows on
 H-orbit representatives (average_row), which symmetrize and
@@ -24,7 +28,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .linalg import Matrix, block_diag, identity, mat_det, mat_inv, mat_mul
+from .linalg import Matrix, block_diag, identity, mat_mul, transpose
 from .polyring import LinearSubstitution, ONE, Polynomial, QQ, RingContextError, ZERO
 
 MAX_GROUP = 10_000
@@ -170,15 +174,16 @@ class WeylGroup:
         self.generators = tuple(rs.reflection(a) for a in rs.generator_roots)
         eye = identity(rs.ambient)
         elements = [eye]
-        seen = {eye}
+        # every generator is a reflection, of sign -1
+        self.signs = {eye: 1}
         frontier = [eye]
         while frontier:
             new = []
             for w in frontier:
                 for g in self.generators:
                     wg = mat_mul(w, g)
-                    if wg not in seen:
-                        seen.add(wg)
+                    if wg not in self.signs:
+                        self.signs[wg] = -self.signs[w]
                         elements.append(wg)
                         new.append(wg)
                         if len(elements) > MAX_GROUP:
@@ -192,7 +197,6 @@ class WeylGroup:
                 f"{rs.name}: closure found {self.order} elements, "
                 f"expected {expected}"
             )
-        self.signs = {w: int(mat_det(w)) for w in self.elements}
         self._sub: dict = {}
         self._monomial = tuple(
             w for w in self.elements
@@ -213,8 +217,9 @@ class WeylGroup:
             reps.append(w)
             for h in self._monomial:
                 covered.add(mat_mul(w, h))
-        # W is the disjoint union of the cosets r*H, and so of the H*r^-1
-        self._coset_inverses = tuple(mat_inv(r) for r in reps)
+        # W is the disjoint union of the cosets r*H, and so of the H*r^-1;
+        # r^-1 = r^T, as every element is orthogonal
+        self._coset_inverses = tuple(transpose(r) for r in reps)
         assert len(self._coset_inverses) * len(self._monomial) == self.order
         # per-monomial orbit projections, filled lazily, the distinct pairs
         # they hold, and the projection coefficient of each representative
@@ -236,15 +241,13 @@ class WeylGroup:
 
     # -- actions -------------------------------------------------------------
 
-    def doubled_matrix(self, w: Matrix) -> Matrix:
-        """Substitution matrix for the action on the doubled ring."""
-        winv = mat_inv(w)
-        return block_diag(winv, tuple(zip(*w)))
-
     def _substitution(self, w: Matrix) -> LinearSubstitution:
+        """The action of w on the doubled ring: the x-block pulls back by
+        w^-1 = w^T, and the y-block transforms by w^T."""
         sub = self._sub.get(w)
         if sub is None:
-            sub = LinearSubstitution(self.doubled_matrix(w))
+            wT = transpose(w)
+            sub = LinearSubstitution(block_diag(wT, wT))
             self._sub[w] = sub
         return sub
 

@@ -275,6 +275,54 @@ class TestIdealOps:
         assert not ideal_equal(Ideal([x]), Ideal([x**2]))
 
 
+def _mutually_contained(I, J):
+    return (all(I.contains(g) for g in J.gens)
+            and all(J.contains(g) for g in I.gens))
+
+
+class TestCanonicalBasis:
+    # ideal_equal compares reduced bases, which are unique only if every
+    # basis an operation installs is the one the ideal's own generators give
+
+    def test_intersection_installs_the_generators_basis(self):
+        for seed in range(30):
+            rng = random.Random(seed)
+            A = Ideal(_seeded_gens(seed, rng, rng.randint(1, 3)), nvars=3)
+            B = Ideal(_seeded_gens(seed, rng, rng.randint(1, 3)), nvars=3)
+            K = ideal_intersect(A, B)
+            assert K._core() == Ideal(K.gens, nvars=3)._core(), seed
+
+    def test_equal_for_another_generating_set(self):
+        # H_i = G_i plus multiples of the earlier G_j, in reverse order and
+        # with one redundant sum: the same ideal from other generators
+        for seed in range(30):
+            rng = random.Random(seed)
+            G = _seeded_gens(seed, rng, rng.randint(2, 4))
+            H = [g + sum((random_polynomial(rng, 3, 1, 2) * h
+                          for h in G[:i]), Polynomial.zero(3))
+                 for i, g in enumerate(G)]
+            H = H[::-1] + [sum(G, Polynomial.zero(3))]
+            assert ideal_equal(Ideal(G, nvars=3), Ideal(H, nvars=3)), seed
+
+    def test_unequal_with_equal_graded_dimensions(self):
+        # swapping two variables keeps every graded dimension; the ideals
+        # differ exactly when mutual membership fails
+        unequal = 0
+        for seed in range(1, 60, 2):
+            rng = random.Random(seed)
+            G = _seeded_gens(seed, rng, rng.randint(1, 3))
+            I = Ideal(G, nvars=3)
+            J = Ideal([Polynomial(3, {(m[1], m[0], m[2]): c
+                                      for m, c in g.terms.items()})
+                       for g in G], nvars=3)
+            assert ([I.graded_dim(d) for d in range(6)]
+                    == [J.graded_dim(d) for d in range(6)])
+            same = ideal_equal(I, J)
+            assert same == _mutually_contained(I, J), seed
+            unequal += not same
+        assert unequal >= 20
+
+
 def _scanned_multiples(leads, nvars, d):
     """Reference count: the degree-d monomials that one of the leads
     divides, found by testing each of them."""

@@ -6,7 +6,7 @@ import pytest
 
 import diagonals
 from diagonals import weyl
-from diagonals.linalg import identity, mat, mat_mul
+from diagonals.linalg import identity, mat, mat_mul, transpose
 from diagonals.polyring import (
     Polynomial,
     QQ,
@@ -90,6 +90,43 @@ def test_signs_are_characters():
     for u in W.elements:
         for w in W.elements:
             assert W.sign(mat_mul(u, w)) == W.sign(u) * W.sign(w)
+
+
+def _sympy_matrix(sympy, w):
+    return sympy.Matrix([[sympy.Rational(int(c.numerator), int(c.denominator))
+                          for c in row] for row in w])
+
+
+def _sympy_poly(sympy, gens, f):
+    return sympy.Poly(
+        sum(sympy.Rational(int(c.numerator), int(c.denominator))
+            * sympy.prod(v**e for v, e in zip(gens, m))
+            for m, c in f.terms.items()), *gens)
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "A3", "B2", "B3", "C3", "D4",
+                                  "G2"])
+def test_elements_are_orthogonal_and_act_by_their_transposes(name):
+    # every element is a product of reflections in the standard dot
+    # product, so w w^T = 1; the sign the closure records is det w, and the
+    # action is x -> w^-1 x, y -> w^T y, with det and w^-1 from sympy
+    sympy = pytest.importorskip("sympy")
+    W = WeylGroup(root_system(name))
+    n = W.ambient
+    xs = sympy.symbols(f"x0:{n}")
+    ys = sympy.symbols(f"y0:{n}")
+    f = random_polynomial(random.Random(17), 2 * n, 3, 4)
+    F = _sympy_poly(sympy, xs + ys, f).as_expr()
+    for w in W.elements:
+        assert mat_mul(w, transpose(w)) == identity(n)
+        M = _sympy_matrix(sympy, w)
+        assert W.sign(w) == M.det()
+        X = M.inv() * sympy.Matrix(xs)
+        Y = M.T * sympy.Matrix(ys)
+        image = F.subs(list(zip(xs + ys, list(X) + list(Y))),
+                       simultaneous=True)
+        assert (_sympy_poly(sympy, xs + ys, W.act(w, f))
+                == sympy.Poly(image, *xs, *ys))
 
 
 def test_left_action_law():
