@@ -107,3 +107,18 @@ def naive_average(W, f: Polynomial, signed: bool) -> Polynomial:
         img = W.act(w, f)
         total = total + (W.sign(w) * img if signed else img)
     return total * QQ(1, W.order)
+
+
+def sympy_rational(sympy, c):
+    return sympy.Rational(int(c.numerator), int(c.denominator))
+
+
+def sympy_expr(sympy, xs, f: Polynomial):
+    """f as a sympy expression in the symbols xs."""
+    return sum(sympy_rational(sympy, c)
+               * sympy.prod(x**e for x, e in zip(xs, m))
+               for m, c in f.terms.items())
+
+
+def sympy_matrix(sympy, m):
+    return sympy.Matrix([[sympy_rational(sympy, c) for c in row] for row in m])

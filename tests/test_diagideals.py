@@ -45,7 +45,7 @@ from diagonals.polyring import (
     variables,
 )
 from diagonals.weyl import WeylGroup, orbit_projection, root_system
-from support import naive_average
+from support import naive_average, sympy_matrix
 
 
 def alternant_dim_oracle(W, a, b):
@@ -118,8 +118,7 @@ def molien_alternant_dims(W, top):
     sympy = pytest.importorskip("sympy")
     dims = {(a, b): 0 for a in range(top + 1) for b in range(top + 1 - a)}
     for w in W.elements:
-        M = sympy.Matrix([[sympy.Rational(int(c.numerator), int(c.denominator))
-                           for c in row] for row in w])
+        M = sympy_matrix(sympy, w)
         hx = _complete_homogeneous(M.inv(), top)
         hy = _complete_homogeneous(M.T, top)
         sign = M.det()

@@ -39,6 +39,7 @@ from diagonals.weyl import root_system
 from support import (
     homogeneous_polynomials,
     span_membership,
+    sympy_expr,
 )
 
 
@@ -629,12 +630,6 @@ def _seeded_gens(seed, rng, count, max_deg=3, max_terms=4):
     return [g for g in gens if g]
 
 
-def _sympy_expr(sympy, xs, g):
-    return sum(sympy.Rational(c.numerator, c.denominator)
-               * sympy.prod(x**e for x, e in zip(xs, m))
-               for m, c in g.terms.items())
-
-
 def _sympy_terms(polys):
     return sorted(sorted((m, QQ(str(c))) for m, c in p.terms())
                   for p in polys)
@@ -653,7 +648,7 @@ class TestAgainstSympy:
         for seed in range(300):
             rng = random.Random(seed)
             gens = _seeded_gens(seed, rng, rng.randint(2, 4))
-            theirs = sympy.groebner([_sympy_expr(sympy, xs, g) for g in gens],
+            theirs = sympy.groebner([sympy_expr(sympy, xs, g) for g in gens],
                                     *xs, order="grevlex", domain="QQ")
             got = Ideal(gens, nvars=3).groebner_basis()
             assert _our_terms(got) == _sympy_terms(theirs.polys), seed
@@ -674,8 +669,8 @@ class TestAgainstSympy:
             if not A or not B:
                 continue
             lex = sympy.groebner(
-                [t * _sympy_expr(sympy, xs, a) for a in A]
-                + [(1 - t) * _sympy_expr(sympy, xs, b) for b in B],
+                [t * sympy_expr(sympy, xs, a) for a in A]
+                + [(1 - t) * sympy_expr(sympy, xs, b) for b in B],
                 t, *xs, order="lex", domain="QQ")
             free = [p.as_expr() for p in lex.polys if p.degree(t) == 0]
             theirs = sympy.groebner(free, *xs, order="grevlex", domain="QQ")

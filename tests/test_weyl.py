@@ -16,7 +16,7 @@ from diagonals.polyring import (
     variables,
 )
 from diagonals.weyl import RootSystem, WeylGroup, root_system
-from support import naive_average
+from support import naive_average, sympy_expr, sympy_matrix
 
 
 def test_group_orders():
@@ -92,18 +92,6 @@ def test_signs_are_characters():
             assert W.sign(mat_mul(u, w)) == W.sign(u) * W.sign(w)
 
 
-def _sympy_matrix(sympy, w):
-    return sympy.Matrix([[sympy.Rational(int(c.numerator), int(c.denominator))
-                          for c in row] for row in w])
-
-
-def _sympy_poly(sympy, gens, f):
-    return sympy.Poly(
-        sum(sympy.Rational(int(c.numerator), int(c.denominator))
-            * sympy.prod(v**e for v, e in zip(gens, m))
-            for m, c in f.terms.items()), *gens)
-
-
 @pytest.mark.parametrize("name", ["A1", "A2", "A3", "B2", "B3", "C3", "D4",
                                   "G2"])
 def test_elements_are_orthogonal_and_act_by_their_transposes(name):
@@ -116,16 +104,16 @@ def test_elements_are_orthogonal_and_act_by_their_transposes(name):
     xs = sympy.symbols(f"x0:{n}")
     ys = sympy.symbols(f"y0:{n}")
     f = random_polynomial(random.Random(17), 2 * n, 3, 4)
-    F = _sympy_poly(sympy, xs + ys, f).as_expr()
+    F = sympy_expr(sympy, xs + ys, f)
     for w in W.elements:
         assert mat_mul(w, transpose(w)) == identity(n)
-        M = _sympy_matrix(sympy, w)
+        M = sympy_matrix(sympy, w)
         assert W.sign(w) == M.det()
         X = M.inv() * sympy.Matrix(xs)
         Y = M.T * sympy.Matrix(ys)
         image = F.subs(list(zip(xs + ys, list(X) + list(Y))),
                        simultaneous=True)
-        assert (_sympy_poly(sympy, xs + ys, W.act(w, f))
+        assert (sympy.Poly(sympy_expr(sympy, xs + ys, W.act(w, f)), *xs, *ys)
                 == sympy.Poly(image, *xs, *ys))
 
 
