@@ -26,6 +26,7 @@ from .groebner import (
     Budget,
     Ideal,
     _to_g,
+    _unpack,
     graded_basis,
     intersect_many,
     minimal_generators,
@@ -94,8 +95,8 @@ def discriminant(rs: RootSystem) -> Polynomial:
 
 def primitive_part(f: Polynomial) -> Polynomial:
     """Rescale to coprime integer coefficients with positive leading one."""
-    g = _to_g(f.terms)
-    return Polynomial(f.nvars, {m: c for _, m, c in g})
+    return Polynomial(f.nvars, {_unpack(m, f.nvars): c
+                                for _, m, c in _to_g(f.terms)})
 
 
 def alternant_basis(W: WeylGroup, a: int, b: int,

@@ -1,14 +1,54 @@
 """Buchberger engine and ideal arithmetic over exact rationals.
 
-The kernel works on integer-primitive term lists with precomputed grevlex
-keys (polyring.grevlex_key).  The one exception is the elimination ideal
-of ideal_intersect, whose terms carry a private block-order key instead.
-Both keys are additive (key(u*v) = key(u) + key(v)), so shifting a
-polynomial by a monomial never re-derives keys from exponents.  Reduction
-is fraction-free: cross-multiplied subtractions keep everything in ZZ, and
-a remainder is only known up to a unit, a nonzero rational factor, which
-is all that basis insertion and membership need.  Rationals appear only
-where a Polynomial goes in or comes out.
+Term form.  The kernel works on gpolys: lists of terms (key, mono, coef),
+three ints, sorted by key descending.  mono packs an exponent vector into
+fields of _WIDTH = 16 bits, variable i in bits 16i to 16i + 15, and the top
+bit of each field is a guard that a valid exponent leaves clear, so every
+exponent stays below 2**15.  key encodes the monomial order in the same
+layout.  Under grevlex (polyring.grevlex_key) digit i is the partial sum
+e_0 + ... + e_i, so the top digit is the total degree and ints compare as
+grevlex keys do.  Under the block order with which ideal_intersect
+eliminates t, its last variable, t's exponent is one more digit above the
+grevlex digits of the rest.  Both keys are sums of their digits times
+powers of 2**16, so key(u*v) = key(u) + key(v), and shifting a term by a
+monomial is two int additions.  t is the top field and the top digit, so a
+t-free gpoly of the extended ring is, int for int, the grevlex gpoly of
+the ring without t.  Tuples appear only where a Polynomial goes in or
+comes out, in the pair lcms and criteria, in the Hilbert numerator and in
+the normal-form tables.
+
+Divisibility.  With G the int of every guard bit, a divides b exactly when
+((b + G) - a) & G == G (Bachmann and Schönemann, "Monomial representations
+for Gröbner bases computations", ISSAC 1998).  Each field computes
+b_i + 2**15 - a_i, which lies in [1, 2**16), so no field borrows from the
+next, and its guard survives exactly when a_i <= b_i.  The test is exact, so
+no divisor mask is needed in front of it.
+
+No silent carry.  The test and the additions hold only while every field
+stays below its guard, and an exponent or digit that reached it would carry
+into the next field unseen.  So every term is checked where it is made, and
+OverflowError is raised instead:
+  - the key functions check each monomial of a Polynomial (_to_g) and each
+    pair's lcm: the degree, and t's exponent, must stay below 2**15;
+  - every term that a product, an S-polynomial or a reduction step makes
+    has the key key(u) + key(t) of two checked terms, a sum without carry
+    out of any field, so key & G, one int operation, finds a digit that
+    reached its guard.
+Every exponent is at most a key digit, the degree or t's exponent, so a
+clear key also clears the monomial's guards.  Merges and cancellations make
+no new monomials, so every term of every gpoly has passed a check.
+
+Reduction.  Normal forms come from heap division (Monagan and Pearce,
+"Sparse polynomial division using a heap", J. Symbolic Comput. 46, 2011):
+the terms not yet treated sit in a dict from key to [mono, coef] under a
+heap of their keys, and each step pops the largest and either moves it to
+the remainder or subtracts a multiple of one reducer's tail, so a step
+costs that tail, not a copy of the whole polynomial.  Reduction is
+fraction-free: cross-multiplied subtractions keep everything in ZZ, and a
+remainder is only known up to a unit, a nonzero rational factor, which is
+all that basis insertion and membership need.  Ideal products are formed
+in the kernel too, so rationals appear only where a Polynomial goes in or
+comes out.
 
 Pair management follows the classic update procedure with the product and
 chain criteria.  Selection is the sugar strategy of Giovini, Mora, Niesi,
@@ -26,13 +66,14 @@ nothing else.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import math
 import os
+import struct
 import time
 from dataclasses import dataclass, field
-from operator import add, sub
 
 from .polyring import (
     Monomial,
@@ -106,19 +147,71 @@ class BudgetExceeded(RuntimeError):
 # ---------------------------------------------------------------------------
 # integer kernel
 # ---------------------------------------------------------------------------
-# A gpoly is a list of (key, mono, int_coeff) sorted by key descending.  A
-# primitive one, as every basis holds, is content-stripped with positive
-# leading coefficient.
+# A gpoly is a list of terms (key, mono, coef), three ints, sorted by key
+# descending.  A primitive one, as every basis holds, is content-stripped
+# with positive leading coefficient.
+
+# bits per exponent field and key digit, the top one the guard; _pack and
+# _unpack read a field as one little-endian unsigned short
+_WIDTH = 16
 
 
-def _to_g(terms: dict, keyf=grevlex_key) -> list:
+def _guard(nvars: int) -> int:
+    """The int with the guard bit of each of nvars fields set."""
+    unit = ((1 << nvars * _WIDTH) - 1) // ((1 << _WIDTH) - 1)
+    return unit << _WIDTH - 1
+
+
+def _overflow(mono) -> OverflowError:
+    return OverflowError(f"monomial {mono} leaves the {_WIDTH}-bit "
+                         f"exponent fields of the Groebner kernel")
+
+
+def _grevlex_key(mono: Monomial) -> int:
+    """Int key of polyring.grevlex_key: digit i is e_0 + ... + e_i, so the
+    top digit is the total degree, and ints compare as the tuple keys do.
+    Raises OverflowError when the degree, the largest digit and a bound on
+    every exponent, reaches its guard bit."""
+    key = s = shift = 0
+    for e in mono:
+        s += e
+        key |= s << shift
+        shift += _WIDTH
+    if s >> _WIDTH - 1:
+        raise _overflow(mono)
+    return key
+
+
+def _elimination_key(mono: Monomial) -> int:
+    """Block order of ideal_intersect: the exponent of t, the last
+    variable, as the top digit above the grevlex key of the rest.  A t-free
+    monomial has the grevlex key of the ring without t."""
+    t = mono[-1]
+    if t >> _WIDTH - 1:
+        raise _overflow(mono)
+    return _grevlex_key(mono[:-1]) | t << (len(mono) - 1) * _WIDTH
+
+
+def _pack(mono: Monomial) -> int:
+    return int.from_bytes(struct.pack(f"<{len(mono)}H", *mono), "little")
+
+
+def _unpack(m: int, nvars: int) -> Monomial:
+    return struct.unpack(f"<{nvars}H", m.to_bytes(2 * nvars, "little"))
+
+
+def _packed_divides(a: int, b: int, guard: int) -> bool:
+    return (b + guard - a) & guard == guard
+
+
+def _to_g(terms: dict, keyf=_grevlex_key) -> list:
     """Rational term dict -> primitive gpoly."""
     if not terms:
         return []
     den = 1
     for c in terms.values():
         den = math.lcm(den, int(c.denominator))
-    out = [(keyf(m), m, int(c * den)) for m, c in terms.items()]
+    out = [(keyf(m), _pack(m), int(c * den)) for m, c in terms.items()]
     out.sort(reverse=True)
     return _primitive(out)
 
@@ -142,90 +235,133 @@ def _primitive(terms: list) -> list:
     return terms
 
 
-def _shifted(g: list, umono: Monomial, ukey: tuple, factor: int) -> list:
-    return [(tuple(map(add, k, ukey)), tuple(map(add, m, umono)), factor * c)
-            for k, m, c in g]
+def _shifted(g: list, ukey: int, umono: int, factor: int,
+             guard: int) -> list:
+    """factor * u * g for the monomial u with key ukey, packed as umono."""
+    out = []
+    for k, m, c in g:
+        k += ukey
+        if k & guard:
+            raise _overflow(m + umono)
+        out.append((k, m + umono, factor * c))
+    return out
 
 
-def _combine(a: int, f: list, skip: int, h: list) -> list:
-    """a * f without its term at index skip, minus h; both inputs sorted
-    descending, and every key of h below that of f[skip]."""
-    out = f[:skip] if a == 1 else [(k, m, a * c) for k, m, c in f[:skip]]
-    i, j = skip + 1, 0
+def _g_mul(f: list, g: list, guard: int) -> list:
+    """The product of two gpolys; primitive when both are (Gauss)."""
+    acc: dict = {}
+    for kf, mf, cf in f:
+        for k, m, c in _shifted(g, kf, mf, cf, guard):
+            t = acc.get(k)
+            if t is None:
+                acc[k] = [m, c]
+            else:
+                t[1] += c
+    return [(k, m, c) for k, (m, c) in sorted(acc.items(), reverse=True)
+            if c]
+
+
+def _combine(f: list, h: list) -> list:
+    """f - h, both sorted descending."""
+    out = []
+    i = j = 0
     nf_, nh = len(f), len(h)
     while i < nf_ and j < nh:
         kf = f[i][0]
         kh = h[j][0]
         if kf > kh:
-            out.append((kf, f[i][1], a * f[i][2]))
+            out.append(f[i])
             i += 1
         elif kf < kh:
             out.append((kh, h[j][1], -h[j][2]))
             j += 1
         else:
-            c = a * f[i][2] - h[j][2]
+            c = f[i][2] - h[j][2]
             if c:
                 out.append((kf, f[i][1], c))
             i += 1
             j += 1
-    out += [(k, m, a * c) for k, m, c in f[i:]]
+    out += f[i:]
     out += [(k, m, -c) for k, m, c in h[j:]]
     return out
 
 
-def _g_nf(fg: list, basis: list, budget: Budget, member_only: bool = False):
-    """Full normal form of a gpoly against a list of gpolys, up to a unit.
+def _g_nf(fg: list, basis: list, nvars: int, budget: Budget,
+          member_only: bool = False):
+    """Full normal form of a gpoly against a list of gpolys in nvars
+    variables, up to a unit, by heap division.
 
     Returns the primitive gpoly of the remainder, [] when the input reduces
-    to 0.  A step replaces the work list, irreducible terms included, by
-    a*work - b*u*g and strips its content, so the result is a nonzero
-    rational multiple of the exact normal form; its scale is not kept.
-    With member_only, returns None at the first irreducible term (the
-    input is then not in the ideal).  The budget is checked every 256
-    steps.
+    to 0.  The terms not yet treated live in a dict from key to [mono,
+    coef] under a heap of their keys.  The largest is popped and moved to
+    the remainder when no lead divides it; otherwise the first element g
+    of the basis whose lead divides it, c*u*lead(g), cancels it: the dict
+    and the remainder are scaled by a = lc(g)/gcd(c, lc(g)) when a != 1,
+    and (c/gcd(c, lc(g))) * u * tail(g) is subtracted term by term.  So
+    the result is a nonzero rational multiple of the exact normal form; its
+    scale is not kept.  With member_only, returns None at the first
+    irreducible term (the input is then not in the ideal).  The budget is
+    checked every 256 popped terms.
     """
-    work = fg
-    pos = 0
-    steps = 0
-    while pos < len(work):
-        steps += 1
-        if not steps % 256:
+    guard = _guard(nvars)
+    leads = [g[0][1] for g in basis]
+    todo = {k: [m, c] for k, m, c in fg}
+    heap = [-k for k, _, _ in fg]  # ascending, so already a heap
+    rem: list = []
+    pops = 0
+    while heap:
+        k = -heapq.heappop(heap)
+        term = todo.pop(k, None)
+        if term is None:  # cancelled after its key was pushed
+            continue
+        pops += 1
+        if not pops % 256:
             budget.check("reduction", len(basis))
-        k, m, c = work[pos]
-        for red in basis:
-            if _divides(red[0][1], m):
+        m, c = term
+        mg = m + guard
+        for lead, red in zip(leads, basis):
+            if (mg - lead) & guard == guard:
                 break
         else:
             if member_only:
                 return None
-            pos += 1
+            rem.append((k, m, c))
             continue
         gk, gm, gc = red[0]
         q = math.gcd(c, gc)
         a = gc // q
         b = c // q
-        umono = tuple(map(sub, m, gm))
-        ukey = tuple(map(sub, k, gk))
-        h = _shifted(red[1:], umono, ukey, b)
-        work = _combine(a, work, pos, h)
-        g0 = _content(work)
-        if g0 > 1:
-            work = [(kk, mm, cc // g0) for kk, mm, cc in work]
-    return _primitive(work)
+        if a != 1:
+            for t in todo.values():
+                t[1] *= a
+            rem = [(kk, mm, a * cc) for kk, mm, cc in rem]
+        ukey = k - gk
+        umono = m - gm
+        for tk, tm, tc in itertools.islice(red, 1, None):
+            tk += ukey
+            t = todo.get(tk)
+            if t is None:
+                if tk & guard:
+                    raise _overflow(tm + umono)
+                todo[tk] = [tm + umono, -b * tc]
+                heapq.heappush(heap, -tk)
+            else:
+                s = t[1] - b * tc
+                if s:
+                    t[1] = s
+                else:
+                    del todo[tk]
+    return _primitive(rem)
 
 
-def _g_spoly(f: list, g: list, keyf) -> list:
+def _g_spoly(f: list, g: list, lkey: int, lmono: int, guard: int) -> list:
+    """S-polynomial of two gpolys whose leads have the lcm lmono, of key
+    lkey."""
     kf, mf, cf = f[0]
     kg, mg, cg = g[0]
-    lcm_m = tuple(map(max, mf, mg))
     d = math.gcd(cf, cg)
-    a = cg // d
-    b = cf // d
-    uf = tuple(map(sub, lcm_m, mf))
-    ug = tuple(map(sub, lcm_m, mg))
-    F = _shifted(f, uf, keyf(uf), a)
-    G = _shifted(g[1:], ug, keyf(ug), b)
-    return _combine(1, F, 0, G)
+    return _combine(_shifted(f[1:], lkey - kf, lmono - mf, cg // d, guard),
+                    _shifted(g[1:], lkey - kg, lmono - mg, cf // d, guard))
 
 
 def _coprime(a: Monomial, b: Monomial) -> bool:
@@ -234,15 +370,17 @@ def _coprime(a: Monomial, b: Monomial) -> bool:
 
 class _Basis:
     """A growing Groebner basis: primitive gpolys, each a remainder of
-    _g_nf as it comes (a normal form up to a unit), with their leads and
-    sugars, and the heap of pairs not yet reduced.
+    _g_nf as it comes (a normal form up to a unit), with their leads (as
+    exponent tuples) and sugars, and the heap of pairs not yet reduced.
 
     On homogeneous input a pair's sugar is its degree, so after run(d) the
     basis is a Groebner basis through degree d of the ideal added so far.
     """
 
-    def __init__(self, keyf, budget: Budget):
+    def __init__(self, keyf, nvars: int, budget: Budget):
         self.keyf = keyf
+        self.nvars = nvars
+        self.guard = _guard(nvars)
         self.budget = budget
         self.polys: list = []
         self.leads: list = []
@@ -254,11 +392,11 @@ class _Basis:
     def add(self, g: list, sugar: int) -> bool:
         """Insert the normal form of gpoly g, up to a unit, with the given
         sugar when it is nonzero; return whether it was inserted."""
-        r = _g_nf(g, self.polys, self.budget)
+        r = _g_nf(g, self.polys, self.nvars, self.budget)
         if not r:
             return False
         self.polys.append(r)
-        self.leads.append(r[0][1])
+        self.leads.append(_unpack(r[0][1], self.nvars))
         self.sugars.append(sugar)
         self._update_pairs(len(self.polys) - 1)
         return True
@@ -312,8 +450,9 @@ class _Basis:
         until no pair of sugar <= max_sugar is left."""
         heap, budget = self.heap, self.budget
         while heap and heap[0][0] <= max_sugar:
-            sugar, _, i, j = heapq.heappop(heap)
-            if self.lcm_of.pop((i, j), None) is None:
+            sugar, lk, i, j = heapq.heappop(heap)
+            lcm = self.lcm_of.pop((i, j), None)
+            if lcm is None:
                 continue
             self.pops += 1
             if not self.pops % 16:
@@ -322,19 +461,21 @@ class _Basis:
                 raise BudgetExceeded("basis size limit",
                                      time.monotonic() - budget.started,
                                      len(self.polys))
-            s = _g_spoly(self.polys[i], self.polys[j], self.keyf)
+            s = _g_spoly(self.polys[i], self.polys[j], lk, _pack(lcm),
+                         self.guard)
             if s:
                 self.add(s, sugar)
 
     def reduced(self) -> list:
         """Reduced basis as primitive gpolys sorted ascending by lead key."""
-        polys = self.polys
+        polys, guard = self.polys, self.guard
         # minimalize: drop elements whose lead another kept lead divides
         order_idx = sorted(range(len(polys)), key=lambda i: polys[i][0][0])
         kept_idx: list = []
         for i in order_idx:
             m = polys[i][0][1]
-            if not any(_divides(polys[j][0][1], m) for j in kept_idx):
+            if not any(_packed_divides(polys[j][0][1], m, guard)
+                       for j in kept_idx):
                 kept_idx.append(i)
         minimal = [polys[i] for i in kept_idx]
 
@@ -342,7 +483,7 @@ class _Basis:
         reduced: list = []
         for pos, g in enumerate(minimal):
             others = reduced + minimal[pos + 1:]
-            reduced.append(_g_nf(g, others, self.budget))
+            reduced.append(_g_nf(g, others, self.nvars, self.budget))
         return reduced
 
 
@@ -402,7 +543,8 @@ def _graded_count(numerator: list, nvars: int, d: int) -> int:
 def _g_to_poly(g: list, nvars: int) -> Polynomial:
     """The monic Polynomial of a nonzero gpoly."""
     lead = g[0][2]
-    return Polynomial(nvars, {m: QQ(c, lead) for _, m, c in g})
+    return Polynomial(nvars, {_unpack(m, nvars): QQ(c, lead)
+                              for _, m, c in g})
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +573,7 @@ class Ideal:
 
     # key of the kernel's terms; only ideal_intersect replaces it, on its
     # elimination ideal
-    _key = staticmethod(grevlex_key)
+    _key = staticmethod(_grevlex_key)
 
     def __init__(self, gens, *, nvars: int | None = None,
                  generated_up_to: int | None = None,
@@ -455,10 +597,11 @@ class Ideal:
     def groebner_basis(self) -> tuple:
         if self._gb is None:
             keyf = self._key
-            basis = _Basis(keyf, self.budget)
+            basis = _Basis(keyf, self.nvars, self.budget)
             for g in sorted((_to_g(g.terms, keyf) for g in self.gens),
                             key=lambda p: (p[0][0], p)):
-                basis.add(g, max(sum(m) for _, m, _ in g))
+                basis.add(g, max(sum(_unpack(m, self.nvars))
+                                 for _, m, _ in g))
             basis.run()
             self._gbg = basis.reduced()
             self._gb = tuple(_g_to_poly(g, self.nvars) for g in self._gbg)
@@ -484,7 +627,7 @@ class Ideal:
             raise RingContextError("polynomial in a different ring")
         if not f:
             return True
-        return _g_nf(_to_g(f.terms, self._key), self._core(),
+        return _g_nf(_to_g(f.terms, self._key), self._core(), self.nvars,
                      self.budget, member_only=True) is not None
 
     # -- graded data ---------------------------------------------------------
@@ -497,7 +640,8 @@ class Ideal:
         for d < 0.  N is computed once per reduced basis."""
         if self._numerator is None:
             self._numerator = _hilbert_numerator(
-                [g[0][1] for g in self._core()], self.nvars)
+                [_unpack(g[0][1], self.nvars) for g in self._core()],
+                self.nvars)
         return _graded_count(self._numerator, self.nvars, d)
 
     # -- misc ----------------------------------------------------------------
@@ -511,21 +655,29 @@ class Ideal:
 # ---------------------------------------------------------------------------
 
 
+def _ideal_of(gens, nvars: int, budget: Budget) -> Ideal:
+    """Ideal generated by the monic Polynomials of nonzero gpolys, each
+    converted as it comes."""
+    return Ideal((_g_to_poly(g, nvars) for g in gens), nvars=nvars,
+                 budget=budget)
+
+
 def ideal_product(I: Ideal, J: Ideal) -> Ideal:
     """Generated by the products of the two reduced bases."""
     _same_ring(I, J)
-    gens = [f * g for f in I.groebner_basis() for g in J.groebner_basis()]
-    return Ideal(gens, nvars=I.nvars, budget=I.budget)
+    guard = _guard(I.nvars)
+    return _ideal_of((_g_mul(f, g, guard) for f in I._core()
+                      for g in J._core()), I.nvars, I.budget)
 
 
 def ideal_power(I: Ideal, k: int) -> Ideal:
     """Generated by the k-fold products of the reduced basis of I."""
     if k < 1:
         raise ValueError("power must be >= 1")
-    gens = [math.prod(combo, start=Polynomial.constant(I.nvars, 1))
-            for combo in itertools.combinations_with_replacement(
-                I.groebner_basis(), k)]
-    return Ideal(gens, nvars=I.nvars, budget=I.budget)
+    guard = _guard(I.nvars)
+    return _ideal_of((functools.reduce(lambda f, g: _g_mul(f, g, guard), c)
+                      for c in itertools.combinations_with_replacement(
+                          I._core(), k)), I.nvars, I.budget)
 
 
 def _extend(f: Polynomial, extra: int = 1) -> Polynomial:
@@ -533,35 +685,31 @@ def _extend(f: Polynomial, extra: int = 1) -> Polynomial:
                       {m + (0,) * extra: c for m, c in f.terms.items()})
 
 
-def _elimination_key(mono: Monomial) -> tuple:
-    """Block order of ideal_intersect: the degree in t, the last variable,
-    then grevlex on the rest.  Additive, like grevlex_key."""
-    return (mono[-1],) + grevlex_key(mono[:-1])
-
-
 def ideal_intersect(I: Ideal, J: Ideal) -> Ideal:
     """Intersection via the single-auxiliary-variable trick (Cox, Little
     and O'Shea, Ideals, Varieties, and Algorithms, ch. 3-4).
 
     The elimination ideal E is generated by t*f and (1-t)*g over the ring
-    extended by t, and its basis is taken under _elimination_key, which
-    ranks any monomial with t above every monomial without.  The elements
-    of E's reduced basis free of t then form the reduced basis of I cap J:
-    the block order restricts to grevlex there, so dropping t's exponent
-    and its key entry leaves grevlex gpolys in lead order.  The
-    intersection is generated by them and carries that basis.  E and the
-    result keep I's budget.
+    extended by t, formed in the kernel, and its basis is taken under
+    _elimination_key, which ranks any monomial with t above every monomial
+    without.  The elements of E's reduced basis free of t then form the
+    reduced basis of I cap J: t is the top field and the top key digit, so
+    a t-free gpoly of E is already the grevlex gpoly of the ring without t,
+    in lead order.  The intersection is generated by them and carries that
+    basis.  E and the result keep I's budget.
     """
     _same_ring(I, J)
     n = I.nvars
-    t = Polynomial.variable(n + 1, n)
-    one = Polynomial.constant(n + 1, 1)
-    gens = [_extend(f) * t for f in I.gens]
-    gens += [_extend(g) * (one - t) for g in J.gens]
-    E = Ideal(gens, nvars=n + 1, budget=I.budget)
+    guard = _guard(n + 1)
+    t = 1 << n * _WIDTH  # t's mono field and its key digit
+    gens = [_shifted(_to_g(f.terms), t, t, 1, guard) for f in I.gens]
+    for g in J.gens:
+        h = _to_g(g.terms)
+        gens.append(_shifted(h, t, t, 1, guard)
+                    + [(k, m, -c) for k, m, c in h])
+    E = _ideal_of(gens, n + 1, I.budget)
     E._key = _elimination_key
-    basis = [[(k[1:], m[:n], c) for k, m, c in g]
-             for g in E._core() if not g[0][1][n]]
+    basis = [g for g in E._core() if not g[0][0] >> n * _WIDTH]
     result = Ideal([_g_to_poly(g, n) for g in basis], nvars=n,
                    budget=I.budget)
     result._set_basis(basis)
@@ -601,7 +749,7 @@ def _same_ring(I: Ideal, J: Ideal) -> None:
 def _walk(candidates, full: Ideal, max_degree: int) -> tuple:
     """(kept, basis) of the degree walk of minimal_generators; the basis is
     a Groebner basis of the kept generators through max_degree."""
-    basis = _Basis(grevlex_key, full.budget)
+    basis = _Basis(_grevlex_key, full.nvars, full.budget)
     kept: list = []
     for d in range(max_degree + 1):
         full.budget.check("minimal generators", len(basis.polys))
@@ -666,10 +814,11 @@ def nf_monomial_table(I: Ideal, d: int) -> dict:
     """
     entries = []
     for g in I._core():
-        if len({sum(m) for _, m, _ in g}) != 1:
+        terms = [(_unpack(m, I.nvars), c) for _, m, c in g]
+        if len({sum(m) for m, _ in terms}) != 1:
             raise ValueError("normal-form tables need a homogeneous ideal")
-        lc = g[0][2]
-        entries.append((g[0][1], [(m, QQ(-c, lc)) for _, m, c in g[1:]]))
+        (lead, lc), *tail = terms
+        entries.append((lead, [(m, QQ(-c, lc)) for m, c in tail]))
     table: dict = {}
     for i, m in enumerate(sorted(monomials_of_degree(I.nvars, d),
                                    key=grevlex_key), 1):

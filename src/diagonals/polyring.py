@@ -58,9 +58,8 @@ class ExactDivisionError(ArithmeticError):
 def grevlex_key(mono: Monomial) -> tuple:
     """Sort key of graded reverse lexicographic order, the one order of
     this package: total degree, then the exponents negated from the last
-    variable back.  The key is additive, key(u*v) = key(u) + key(v)
-    componentwise, which the Groebner kernel exploits when shifting a
-    polynomial by a monomial."""
+    variable back.  The Groebner kernel encodes the same order as an
+    additive int key (groebner._grevlex_key)."""
     return (sum(mono), *map(neg, reversed(mono)))
 
 

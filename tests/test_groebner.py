@@ -29,6 +29,7 @@ from diagonals.polyring import (
     Polynomial,
     QQ,
     count_monomials,
+    grevlex_key,
     monomials_of_degree,
     random_polynomial,
     to_string,
@@ -95,7 +96,8 @@ class TestBuchbergerBasics:
 def _remainder(I, f):
     """The kernel's remainder of f against I's reduced basis, a normal form
     up to a unit, as a monic Polynomial (zero for a member)."""
-    r = groebner._g_nf(groebner._to_g(f.terms), I._core(), I.budget)
+    r = groebner._g_nf(groebner._to_g(f.terms), I._core(), I.nvars,
+                       I.budget)
     return groebner._g_to_poly(r, f.nvars) if r else Polynomial.zero(f.nvars)
 
 
@@ -184,9 +186,9 @@ class TestNonMonicNormalForm:
                     Polynomial.zero(3))
         member = span_membership(f, gens)
         fg = groebner._to_g(f.terms)
-        r = groebner._g_nf(fg, basis, I.budget)
+        r = groebner._g_nf(fg, basis, 3, I.budget)
         assert (r == []) == member
-        assert (groebner._g_nf(fg, basis, I.budget, member_only=True)
+        assert (groebner._g_nf(fg, basis, 3, I.budget, member_only=True)
                 is None) == (not member)
         if not r:
             return
@@ -194,13 +196,189 @@ class TestNonMonicNormalForm:
         assert math.gcd(*(c for _, _, c in r)) == 1
         assert [k for k, _, _ in r] == sorted((k for k, _, _ in r),
                                               reverse=True)
-        for _, m, _ in r:
-            assert not any(groebner._divides(g[0][1], m) for g in basis)
+        leads = [groebner._unpack(g[0][1], 3) for g in basis]
+        terms = {groebner._unpack(m, 3): QQ(c) for _, m, c in r}
+        for m in terms:
+            assert not any(groebner._divides(lead, m) for lead in leads)
         # r is a nonzero multiple of f modulo the ideal: it lies in the
         # span of f and the ideal's multiples of f's degrees
         ech = _multiples(gens, f.total_degree())
         ech.add(f.terms)
-        assert ech.contains({m: QQ(c) for _, m, c in r})
+        assert ech.contains(terms)
+
+
+# every exponent, and under grevlex the degree, stays below this
+LIMIT = 1 << groebner._WIDTH - 1
+
+
+@st.composite
+def exponent_vectors(draw, nvars, degree_below=None):
+    """Exponent vectors with entries below LIMIT; with degree_below, scaled
+    down so that their degree stays below it, as a key needs."""
+    e = draw(st.lists(st.integers(0, LIMIT - 1), min_size=nvars,
+                      max_size=nvars))
+    total = sum(e)
+    if degree_below is not None and total >= degree_below:
+        e = [x * (degree_below - 1) // total for x in e]
+    return tuple(e)
+
+
+def _tuple_elimination_key(m):
+    return (m[-1],) + grevlex_key(m[:-1])
+
+
+def _sum(u, v):
+    return tuple(a + b for a, b in zip(u, v))
+
+
+nvars_range = st.integers(1, 11)
+
+
+class TestPackedEncoding:
+    """The kernel's ints against the tuples they encode."""
+
+    @given(st.data())
+    def test_int_keys_order_and_add_as_tuple_keys(self, data):
+        n = data.draw(nvars_range)
+        half = LIMIT // 2
+        u, v, w = (data.draw(exponent_vectors(n, half)) for _ in range(3))
+        for key, ref in ((groebner._grevlex_key, grevlex_key),
+                         (groebner._elimination_key, _tuple_elimination_key)):
+            assert (key(u) < key(v)) == (ref(u) < ref(v))
+            assert (key(u) == key(v)) == (u == v)
+            assert key(u) + key(w) == key(_sum(u, w))
+
+    @given(st.data())
+    def test_guard_bit_test_is_divisibility(self, data):
+        n = data.draw(nvars_range)
+        a = data.draw(exponent_vectors(n))
+        b = data.draw(st.one_of(
+            exponent_vectors(n),
+            # multiples of a, and a itself, so that both answers occur
+            st.just(tuple(min(x + y, LIMIT - 1) for x, y in zip(
+                a, data.draw(exponent_vectors(n, 4)))))))
+        guard = groebner._guard(n)
+        assert (groebner._packed_divides(groebner._pack(a),
+                                         groebner._pack(b), guard)
+                == groebner._divides(a, b))
+
+    @given(st.data())
+    def test_pack_round_trip(self, data):
+        n = data.draw(nvars_range)
+        m = data.draw(exponent_vectors(n))
+        packed = groebner._pack(m)
+        assert groebner._unpack(packed, n) == m
+        assert packed & groebner._guard(n) == 0
+
+    def test_t_free_elimination_gpoly_is_the_grevlex_one(self):
+        x, y, z = variables(3)
+        f = 3 * x**2 * y - 2 * z**3 + x
+        ext = {m + (0,): c for m, c in f.terms.items()}
+        assert (groebner._to_g(ext, groebner._elimination_key)
+                == groebner._to_g(f.terms))
+
+
+class TestOverflow:
+    """An exponent or key digit that reaches its field's guard bit raises
+    instead of carrying into the next field."""
+
+    def test_input_past_the_limit(self):
+        x, y = variables(2)
+        for f in (x**LIMIT, x**(LIMIT // 2) * y**(LIMIT // 2)):
+            with pytest.raises(OverflowError):
+                Ideal([f + y]).groebner_basis()
+        assert Ideal([x**(LIMIT - 1) + y]).groebner_basis()
+        # t's exponent is a digit of its own under the elimination key
+        with pytest.raises(OverflowError):
+            groebner._to_g({(0, LIMIT): QQ(1)}, groebner._elimination_key)
+
+    def test_pair_lcm_past_the_limit(self):
+        x, y = variables(2)
+        half = LIMIT // 2
+        with pytest.raises(OverflowError):
+            Ideal([x**half + y, y**half + x]).groebner_basis()
+
+    def test_product_past_the_limit(self):
+        x, y = variables(2)
+        I = Ideal([x**(LIMIT // 2) + y])
+        assert ideal_power(I, 1).gens == I.gens
+        with pytest.raises(OverflowError):
+            ideal_power(I, 2)
+
+    def test_reduction_step_past_the_limit(self):
+        # under the elimination key t*x0 leads t*x0 - x1^(LIMIT-1), and
+        # reducing t*x0*x1 by it makes x1^LIMIT
+        key = groebner._elimination_key
+        g = groebner._to_g({(1, 0, 1): QQ(1), (0, LIMIT - 1, 0): QQ(-1)},
+                           key)
+        # t*x0 itself reduces to x1^(LIMIT-1), just inside the limit
+        assert groebner._g_nf(groebner._to_g({(1, 0, 1): QQ(1)}, key), [g],
+                              3, Budget()) == groebner._to_g(
+                                  {(0, LIMIT - 1, 0): QQ(1)}, key)
+        f = groebner._to_g({(1, 1, 1): QQ(1)}, key)
+        with pytest.raises(OverflowError):
+            groebner._g_nf(f, [g], 3, Budget())
+
+
+def _textbook_remainder(f, divisors, key):
+    """Remainder of the division of f by the divisors over Fractions: the
+    largest term first, cancelled by the first divisor in list order whose
+    lead divides it, else moved to the remainder."""
+    work, rem = dict(f.terms), {}
+    leads = [max(g.terms, key=key) for g in divisors]
+    while work:
+        m = max(work, key=key)
+        c = work.pop(m)
+        for g, lead in zip(divisors, leads):
+            if all(a <= b for a, b in zip(lead, m)):
+                q = c / g.terms[lead]
+                u = tuple(a - b for a, b in zip(m, lead))
+                for gm, gc in g.terms.items():
+                    if gm != lead:
+                        sm = _sum(gm, u)
+                        s = work.get(sm, 0) - q * gc
+                        if s:
+                            work[sm] = s
+                        else:
+                            work.pop(sm, None)
+                break
+        else:
+            rem[m] = c
+    return rem
+
+
+class TestHeapDivision:
+    """_g_nf against a textbook division over Fractions, on divisor lists
+    that need not be Groebner bases."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_remainder_is_proportional_to_the_textbook_one(self, seed):
+        rng = random.Random(seed)
+        n = rng.randint(3, 5)
+        divisors = [g for g in (random_polynomial(rng, n, 3, 4)
+                                for _ in range(rng.randint(1, 4))) if g]
+        if seed % 4 == 0 and divisors:
+            # a multiple of the first divisor divides out exactly
+            u = tuple(rng.randint(0, 2) for _ in range(n))
+            f = Polynomial(n, {u: QQ(rng.randint(1, 5))}) * divisors[0]
+        else:
+            f = random_polynomial(rng, n, 5, 8)
+        for key, ref in ((groebner._grevlex_key, grevlex_key),
+                         (groebner._elimination_key, _tuple_elimination_key)):
+            basis = [groebner._to_g(g.terms, key) for g in divisors]
+            fg = groebner._to_g(f.terms, key)
+            want = _textbook_remainder(f, divisors, ref)
+            got = groebner._g_nf(fg, basis, n, Budget())
+            assert [k for k, _, _ in got] == sorted(
+                (k for k, _, _ in got), reverse=True)
+            got = {groebner._unpack(m, n): QQ(c) for _, m, c in got}
+            assert got.keys() == want.keys(), (seed, key)
+            if got:
+                lead = max(want, key=ref)
+                ratio = want[lead] / got[lead]
+                assert all(want[m] == ratio * c for m, c in got.items())
+            member = groebner._g_nf(fg, basis, n, Budget(), member_only=True)
+            assert member == (None if want else [])
 
 
 class TestAgainstSpanOracle:
