@@ -162,9 +162,9 @@ def _guard(nvars: int) -> int:
     return unit << _WIDTH - 1
 
 
-def _overflow(mono) -> OverflowError:
-    return OverflowError(f"monomial {mono} leaves the {_WIDTH}-bit "
-                         f"exponent fields of the Groebner kernel")
+def _overflow() -> OverflowError:
+    return OverflowError(f"an exponent or degree reaches 2**{_WIDTH - 1}, "
+                         f"the limit of the Groebner kernel's fields")
 
 
 def _grevlex_key(mono: Monomial) -> int:
@@ -178,7 +178,7 @@ def _grevlex_key(mono: Monomial) -> int:
         key |= s << shift
         shift += _WIDTH
     if s >> _WIDTH - 1:
-        raise _overflow(mono)
+        raise _overflow()
     return key
 
 
@@ -188,7 +188,7 @@ def _elimination_key(mono: Monomial) -> int:
     monomial has the grevlex key of the ring without t."""
     t = mono[-1]
     if t >> _WIDTH - 1:
-        raise _overflow(mono)
+        raise _overflow()
     return _grevlex_key(mono[:-1]) | t << (len(mono) - 1) * _WIDTH
 
 
@@ -242,7 +242,7 @@ def _shifted(g: list, ukey: int, umono: int, factor: int,
     for k, m, c in g:
         k += ukey
         if k & guard:
-            raise _overflow(m + umono)
+            raise _overflow()
         out.append((k, m + umono, factor * c))
     return out
 
@@ -342,7 +342,7 @@ def _g_nf(fg: list, basis: list, nvars: int, budget: Budget,
             t = todo.get(tk)
             if t is None:
                 if tk & guard:
-                    raise _overflow(tm + umono)
+                    raise _overflow()
                 todo[tk] = [tm + umono, -b * tc]
                 heapq.heappush(heap, -tk)
             else:
