@@ -59,13 +59,12 @@ from .dunkl import (
 from .groebner import (
     Budget,
     BudgetExceeded,
-    _extend,
     degree_counts,
     ideal_equal,
     ideal_power,
     minimal_generator_counts,
 )
-from .polyring import QQ, partial_derivative, random_polynomial
+from .polyring import QQ, _extend, partial_derivative, random_polynomial
 from .weyl import WeylGroup, root_system
 
 DEFAULT_BOUND = 10

@@ -13,9 +13,10 @@ grevlex digits of the rest.  Both keys are sums of their digits times
 powers of 2**16, so key(u*v) = key(u) + key(v), and shifting a term by a
 monomial is two int additions.  t is the top field and the top digit, so a
 t-free gpoly of the extended ring is, int for int, the grevlex gpoly of
-the ring without t.  Tuples appear only where a Polynomial goes in or
-comes out, in the pair lcms and criteria, in the Hilbert numerator and in
-the normal-form tables.
+the ring without t.  An Ideal keeps its generators and its basis as
+gpolys, so tuples appear only where it encodes a Polynomial or builds one
+for a reader, in the pair lcms and criteria, in the Hilbert numerator and
+in the normal-form tables.
 
 Divisibility.  With G the int of every guard bit, a divides b exactly when
 ((b + G) - a) & G == G (Bachmann and Schönemann, "Monomial representations
@@ -46,9 +47,9 @@ the remainder or subtracts a multiple of one reducer's tail, so a step
 costs that tail, not a copy of the whole polynomial.  Reduction is
 fraction-free: cross-multiplied subtractions keep everything in ZZ, and a
 remainder is only known up to a unit, a nonzero rational factor, which is
-all that basis insertion and membership need.  Ideal products are formed
-in the kernel too, so rationals appear only where a Polynomial goes in or
-comes out.
+all that basis insertion and membership need.  Products, powers and
+intersections pass gpolys from ideal to ideal, so rationals appear only
+where an Ideal encodes a Polynomial or builds one for a reader.
 
 Pair management follows the classic update procedure with the product and
 chain criteria.  Selection is the sugar strategy of Giovini, Mora, Niesi,
@@ -247,11 +248,11 @@ def _shifted(g: list, ukey: int, umono: int, factor: int,
     return out
 
 
-def _g_mul(f: list, g: list, guard: int) -> list:
-    """The product of two gpolys; primitive when both are (Gauss)."""
+def _g_sum(parts) -> list:
+    """The sum of an iterable of gpolys, sorted descending."""
     acc: dict = {}
-    for kf, mf, cf in f:
-        for k, m, c in _shifted(g, kf, mf, cf, guard):
+    for part in parts:
+        for k, m, c in part:
             t = acc.get(k)
             if t is None:
                 acc[k] = [m, c]
@@ -261,29 +262,9 @@ def _g_mul(f: list, g: list, guard: int) -> list:
             if c]
 
 
-def _combine(f: list, h: list) -> list:
-    """f - h, both sorted descending."""
-    out = []
-    i = j = 0
-    nf_, nh = len(f), len(h)
-    while i < nf_ and j < nh:
-        kf = f[i][0]
-        kh = h[j][0]
-        if kf > kh:
-            out.append(f[i])
-            i += 1
-        elif kf < kh:
-            out.append((kh, h[j][1], -h[j][2]))
-            j += 1
-        else:
-            c = f[i][2] - h[j][2]
-            if c:
-                out.append((kf, f[i][1], c))
-            i += 1
-            j += 1
-    out += f[i:]
-    out += [(k, m, -c) for k, m, c in h[j:]]
-    return out
+def _g_mul(f: list, g: list, guard: int) -> list:
+    """The product of two gpolys; primitive when both are (Gauss)."""
+    return _g_sum(_shifted(g, kf, mf, cf, guard) for kf, mf, cf in f)
 
 
 def _g_nf(fg: list, basis: list, nvars: int, budget: Budget,
@@ -360,8 +341,8 @@ def _g_spoly(f: list, g: list, lkey: int, lmono: int, guard: int) -> list:
     kf, mf, cf = f[0]
     kg, mg, cg = g[0]
     d = math.gcd(cf, cg)
-    return _combine(_shifted(f[1:], lkey - kf, lmono - mf, cg // d, guard),
-                    _shifted(g[1:], lkey - kg, lmono - mg, cf // d, guard))
+    return _g_sum((_shifted(f[1:], lkey - kf, lmono - mf, cg // d, guard),
+                   _shifted(g[1:], lkey - kg, lmono - mg, -(cf // d), guard)))
 
 
 def _coprime(a: Monomial, b: Monomial) -> bool:
@@ -555,6 +536,16 @@ def _g_to_poly(g: list, nvars: int) -> Polynomial:
 class Ideal:
     """Finitely generated ideal with a cached reduced basis under grevlex.
 
+    Term forms.  _gens_g holds the generators and _gb, None until it is
+    computed, the reduced basis sorted by lead, both as primitive gpolys
+    under the ideal's key.  Ideal(...) keeps gens as given and encodes
+    _gens_g when the kernel first needs it.  An ideal the kernel makes (a
+    product, a power, an intersection or its elimination ideal) gets
+    gpolys only, and builds its gens, monic, when they are first read.
+    Bases are computed in groebner_basis(), which returns them as monic
+    Polynomials, because the benchmark's groebner.basis span wraps that
+    method; the kernel reads _core().
+
     contains is the one membership test.  The kernel under it reduces up
     to a unit, so the ideal offers no exact normal form of a polynomial;
     nf_monomial_table gives those of the monomials of one degree.
@@ -588,35 +579,46 @@ class Ideal:
         self.gens = gens
         self.generated_up_to = generated_up_to
         self.budget = Budget.from_env() if budget is None else budget
-        self._gb: tuple | None = None
-        self._gbg: list | None = None
+        self._gb: list | None = None
         self._numerator: list | None = None
+
+    @classmethod
+    def _from_g(cls, gens: list, nvars: int, budget: Budget,
+                basis: list | None = None) -> "Ideal":
+        """Ideal generated by the kernel's nonzero primitive gpolys, with
+        basis, when given, as its reduced basis (trusted)."""
+        I = cls((), nvars=nvars, budget=budget)
+        del I.gens  # built from _gens_g when first read
+        I._gens_g = gens
+        I._gb = basis
+        return I
+
+    @functools.cached_property
+    def gens(self) -> tuple:
+        return tuple(_g_to_poly(g, self.nvars) for g in self._gens_g)
+
+    @functools.cached_property
+    def _gens_g(self) -> list:
+        return [_to_g(g.terms, self._key) for g in self.gens]
 
     # -- basis -------------------------------------------------------------
 
     def groebner_basis(self) -> tuple:
+        """The reduced basis as monic Polynomials sorted by lead, computed
+        once."""
         if self._gb is None:
-            keyf = self._key
-            basis = _Basis(keyf, self.nvars, self.budget)
-            for g in sorted((_to_g(g.terms, keyf) for g in self.gens),
-                            key=lambda p: (p[0][0], p)):
+            basis = _Basis(self._key, self.nvars, self.budget)
+            for g in sorted(self._gens_g, key=lambda p: (p[0][0], p)):
                 basis.add(g, max(sum(_unpack(m, self.nvars))
                                  for _, m, _ in g))
             basis.run()
-            self._gbg = basis.reduced()
-            self._gb = tuple(_g_to_poly(g, self.nvars) for g in self._gbg)
-        return self._gb
+            self._gb = basis.reduced()
+        return tuple(_g_to_poly(g, self.nvars) for g in self._gb)
 
     def _core(self) -> list:
-        self.groebner_basis()
-        return self._gbg
-
-    def _set_basis(self, gbasis: list) -> None:
-        """Install a reduced basis computed elsewhere (trusted): primitive
-        gpolys under grevlex, sorted ascending by lead key."""
-        self._gbg = gbasis
-        self._gb = tuple(_g_to_poly(g, self.nvars) for g in gbasis)
-        self._numerator = None
+        if self._gb is None:
+            self.groebner_basis()
+        return self._gb
 
     # -- membership ----------------------------------------------------------
 
@@ -637,7 +639,7 @@ class Ideal:
         degree-d monomials that a lead of the reduced basis divides, read
         off the Hilbert series N(t) / (1 - t)^n of R modulo the leads.
         That is C(d+n-1, n-1) minus the sum of N_k C(d-k+n-1, n-1), and 0
-        for d < 0.  N is computed once per reduced basis."""
+        for d < 0.  N is computed once, from the reduced basis."""
         if self._numerator is None:
             self._numerator = _hilbert_numerator(
                 [_unpack(g[0][1], self.nvars) for g in self._core()],
@@ -655,19 +657,12 @@ class Ideal:
 # ---------------------------------------------------------------------------
 
 
-def _ideal_of(gens, nvars: int, budget: Budget) -> Ideal:
-    """Ideal generated by the monic Polynomials of nonzero gpolys, each
-    converted as it comes."""
-    return Ideal((_g_to_poly(g, nvars) for g in gens), nvars=nvars,
-                 budget=budget)
-
-
 def ideal_product(I: Ideal, J: Ideal) -> Ideal:
     """Generated by the products of the two reduced bases."""
     _same_ring(I, J)
     guard = _guard(I.nvars)
-    return _ideal_of((_g_mul(f, g, guard) for f in I._core()
-                      for g in J._core()), I.nvars, I.budget)
+    return Ideal._from_g([_g_mul(f, g, guard) for f in I._core()
+                          for g in J._core()], I.nvars, I.budget)
 
 
 def ideal_power(I: Ideal, k: int) -> Ideal:
@@ -675,14 +670,9 @@ def ideal_power(I: Ideal, k: int) -> Ideal:
     if k < 1:
         raise ValueError("power must be >= 1")
     guard = _guard(I.nvars)
-    return _ideal_of((functools.reduce(lambda f, g: _g_mul(f, g, guard), c)
-                      for c in itertools.combinations_with_replacement(
-                          I._core(), k)), I.nvars, I.budget)
-
-
-def _extend(f: Polynomial, extra: int = 1) -> Polynomial:
-    return Polynomial(f.nvars + extra,
-                      {m + (0,) * extra: c for m, c in f.terms.items()})
+    return Ideal._from_g([functools.reduce(lambda f, g: _g_mul(f, g, guard), c)
+                          for c in itertools.combinations_with_replacement(
+                              I._core(), k)], I.nvars, I.budget)
 
 
 def ideal_intersect(I: Ideal, J: Ideal) -> Ideal:
@@ -690,30 +680,26 @@ def ideal_intersect(I: Ideal, J: Ideal) -> Ideal:
     and O'Shea, Ideals, Varieties, and Algorithms, ch. 3-4).
 
     The elimination ideal E is generated by t*f and (1-t)*g over the ring
-    extended by t, formed in the kernel, and its basis is taken under
-    _elimination_key, which ranks any monomial with t above every monomial
-    without.  The elements of E's reduced basis free of t then form the
-    reduced basis of I cap J: t is the top field and the top key digit, so
-    a t-free gpoly of E is already the grevlex gpoly of the ring without t,
-    in lead order.  The intersection is generated by them and carries that
-    basis.  E and the result keep I's budget.
+    extended by t, formed from the generators' gpolys, and its basis is
+    taken under _elimination_key, which ranks any monomial with t above
+    every monomial without.  The elements of E's reduced basis free of t
+    then form the reduced basis of I cap J: t is the top field and the top
+    key digit, so a t-free gpoly of E is already the grevlex gpoly of the
+    ring without t, in lead order.  The intersection is generated by them
+    and carries that basis.  E and the result keep I's budget.
     """
     _same_ring(I, J)
     n = I.nvars
     guard = _guard(n + 1)
     t = 1 << n * _WIDTH  # t's mono field and its key digit
-    gens = [_shifted(_to_g(f.terms), t, t, 1, guard) for f in I.gens]
-    for g in J.gens:
-        h = _to_g(g.terms)
+    gens = [_shifted(f, t, t, 1, guard) for f in I._gens_g]
+    for h in J._gens_g:
         gens.append(_shifted(h, t, t, 1, guard)
                     + [(k, m, -c) for k, m, c in h])
-    E = _ideal_of(gens, n + 1, I.budget)
+    E = Ideal._from_g(gens, n + 1, I.budget)
     E._key = _elimination_key
     basis = [g for g in E._core() if not g[0][0] >> n * _WIDTH]
-    result = Ideal([_g_to_poly(g, n) for g in basis], nvars=n,
-                   budget=I.budget)
-    result._set_basis(basis)
-    return result
+    return Ideal._from_g(basis, n, I.budget, basis)
 
 
 def intersect_many(ideals) -> Ideal:
@@ -721,14 +707,14 @@ def intersect_many(ideals) -> Ideal:
     items = list(ideals)
     if not items:
         raise ValueError("need at least one ideal")
-    heap = [(len(I.gens), pos, I) for pos, I in enumerate(items)]
+    heap = [(len(I._gens_g), pos, I) for pos, I in enumerate(items)]
     heapq.heapify(heap)
     counter = len(items)
     while len(heap) > 1:
         _, _, A = heapq.heappop(heap)
         _, _, B = heapq.heappop(heap)
         C = ideal_intersect(A, B)
-        heapq.heappush(heap, (len(C.gens), counter, C))
+        heapq.heappush(heap, (len(C._gens_g), counter, C))
         counter += 1
     return heap[0][2]
 
@@ -781,7 +767,7 @@ def minimal_generators(candidates, full: Ideal, max_degree: int) -> Ideal:
     basis.run()
     P = Ideal(kept, nvars=full.nvars, generated_up_to=max_degree,
               budget=full.budget)
-    P._set_basis(basis.reduced())
+    P._gb = basis.reduced()
     return P
 
 

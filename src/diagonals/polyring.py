@@ -285,6 +285,12 @@ def _raw(nvars: int, terms: dict) -> Polynomial:
     return out
 
 
+def _extend(f: Polynomial, extra: int = 1) -> Polynomial:
+    """f in the ring with extra more variables, appended last."""
+    return Polynomial(f.nvars + extra,
+                      {m + (0,) * extra: c for m, c in f.terms.items()})
+
+
 def variables(nvars: int) -> list:
     return [Polynomial.variable(nvars, i) for i in range(nvars)]
 

@@ -35,7 +35,6 @@ from diagonals.dunkl import (
 )
 from diagonals.groebner import (
     Ideal,
-    _extend,
     ideal_equal,
     ideal_intersect,
     ideal_power,
@@ -45,6 +44,7 @@ from diagonals.polyring import (
     ONE,
     QQ,
     Polynomial,
+    _extend,
     monomials_of_degree,
     partial_derivative,
     random_polynomial,

@@ -18,6 +18,7 @@ from diagonals.diagideals import (
     x_form,
     y_form,
 )
+from diagonals import groebner
 from diagonals.groebner import (
     Budget,
     BudgetExceeded,
@@ -27,6 +28,7 @@ from diagonals.groebner import (
     ideal_equal,
     ideal_power,
     ideal_product,
+    intersect_many,
     minimal_generator_counts,
     nf_monomial_table,
 )
@@ -205,12 +207,29 @@ class TestSmallTypes:
                                              ("G2", 6)])
     def test_installed_bases_are_the_generators_bases(self, name, bound):
         # ideal_equal compares reduced bases, so the ones intersect_many
-        # and ideal_J install must be those their generators give
+        # and ideal_J install must be those their generators give, and the
+        # gens a kernel-built ideal decodes on read must generate its basis
         rs = root_system(name)
         I = ideal_I(rs)
         J = ideal_J(WeylGroup(rs), I, bound)
-        for X in (I, J):
+        for X in (I, J, ideal_power(I, 2), ideal_product(I, I)):
             assert X._core() == Ideal(X.gens, nvars=X.nvars)._core()
+
+    def test_kernel_built_ideals_encode_no_polynomial(self, monkeypatch):
+        # intersections, powers and products pass gpolys from ideal to
+        # ideal, so once the pair ideals are encoded no Polynomial is
+        rs = root_system("B2")
+        parts = [pair_ideal_power(rs, k, 1)
+                 for k in range(len(rs.positive_roots))]
+        for P in parts:
+            assert P._gens_g
+
+        def refuse(*args):
+            raise AssertionError("a Polynomial was encoded")
+
+        monkeypatch.setattr(groebner, "_to_g", refuse)
+        I = intersect_many(parts)
+        assert ideal_equal(ideal_power(I, 2), ideal_product(I, I))
 
     def test_pair_ideal_power_generators(self):
         rs = root_system("B2")
@@ -279,8 +298,8 @@ class TestAlternants:
         J = ideal_J(W, I, bound)
         # J comes with the reduced basis built along the walk
         assert J._gb is not None
-        assert J._gb == Ideal(every).groebner_basis()
-        assert J._gb == Ideal(J.gens).groebner_basis()
+        assert J._gb == Ideal(every)._core()
+        assert J._gb == Ideal(J.gens)._core()
         assert degree_counts(J.gens, bound) == minimal_generator_counts(
             J, bound)
 

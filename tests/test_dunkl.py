@@ -22,12 +22,12 @@ from diagonals.dunkl import (
     r1_top_identity_coefficient,
     r1_word,
 )
-from diagonals.groebner import _extend
 from diagonals.polyring import (
     ExactDivisionError,
     ONE,
     Polynomial,
     QQ,
+    _extend,
     exact_divide_linear,
     partial_derivative,
     random_polynomial,
