@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from diagonals import groebner
 from diagonals.diagideals import (
     alternant_basis,
     averaged_multiple_dim,
@@ -18,7 +19,6 @@ from diagonals.diagideals import (
     x_form,
     y_form,
 )
-from diagonals import groebner
 from diagonals.groebner import (
     Budget,
     BudgetExceeded,
@@ -217,7 +217,8 @@ class TestSmallTypes:
 
     def test_kernel_built_ideals_encode_no_polynomial(self, monkeypatch):
         # intersections, powers and products pass gpolys from ideal to
-        # ideal, so once the pair ideals are encoded no Polynomial is
+        # ideal, so once the pair ideals are encoded nothing encodes a
+        # Polynomial again
         rs = root_system("B2")
         parts = [pair_ideal_power(rs, k, 1)
                  for k in range(len(rs.positive_roots))]
