@@ -21,15 +21,6 @@ from typing import Iterator, Sequence
 Partition = tuple
 
 
-def check_partition(p: Sequence) -> Partition:
-    p = tuple(int(a) for a in p)
-    if any(a <= 0 for a in p):
-        raise ValueError("parts must be positive")
-    if any(p[i] < p[i + 1] for i in range(len(p) - 1)):
-        raise ValueError("parts must be weakly decreasing")
-    return p
-
-
 def partitions(n: int) -> Iterator[Partition]:
     """All partitions of n, ascending in tuple order."""
     def rec(remaining: int, cap: int):

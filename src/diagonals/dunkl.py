@@ -19,21 +19,13 @@ images of f's terms.  Each operator memoises T_v m, and the divided
 difference (m - s_alpha m) / alpha(x) of each monomial for each positive
 root is memoised per group, so operators with other directions or
 parameters share that work.
-
-The second half of the module is a tiny noncommutative calculus for the
-rank-one case: operators are finite sums  L(x) d^m s^eps  with Laurent
-polynomial coefficients, composed through the rules  s x = -x s  and
-d x = x d + 1.  It exists to check words in multiplication operators and
-the rank-one operator symbolically against their action on polynomials.
 """
 
 from __future__ import annotations
 
-import math
 import weakref
 from typing import Sequence
 
-from .linalg import mat_vec
 from .polyring import (
     ONE,
     Polynomial,
@@ -123,13 +115,6 @@ class DunklOperator:
         return Polynomial(f.nvars, out)
 
 
-def coordinate_operators(W: WeylGroup, c) -> list:
-    """One operator per ambient coordinate direction."""
-    n = W.ambient
-    return [DunklOperator(W, c, tuple(1 if j == i else 0 for j in range(n)))
-            for i in range(n)]
-
-
 def multiplication_commutator(op: DunklOperator, xi: Sequence,
                               f: Polynomial) -> Polynomial:
     """[T_v, xi(x)] f, computed by honest application on both sides."""
@@ -157,11 +142,6 @@ def commutation_rhs(W: WeylGroup, c, direction: Sequence, xi: Sequence,
     return out
 
 
-def equivariant_transport(W: WeylGroup, w, op: DunklOperator) -> DunklOperator:
-    """The operator in the direction w(v), for the equivariance law."""
-    return DunklOperator(W, op.c, mat_vec(w, op.direction))
-
-
 def check_commutativity(W: WeylGroup, c, samples: Sequence,
                         y1: Sequence, y2: Sequence) -> bool:
     """True iff the two operators commute on every sample."""
@@ -176,130 +156,3 @@ def check_defining_relation(W: WeylGroup, c, xi: Sequence, y: Sequence,
     op = DunklOperator(W, c, y)
     return all(multiplication_commutator(op, xi, f)
                == commutation_rhs(W, c, y, xi, f) for f in samples)
-
-
-# ---------------------------------------------------------------------------
-# rank-one symbolic calculus
-# ---------------------------------------------------------------------------
-# An operator is a dict {(m, eps): Laurent} with m the derivative order,
-# eps in {0, 1} flagging the reflection, and Laurent a dict {power: QQ}.
-
-
-def _laurent_clean(L: dict) -> dict:
-    return {k: v for k, v in L.items() if v}
-
-
-def _laurent_mul(A: dict, B: dict) -> dict:
-    out: dict = {}
-    for ka, va in A.items():
-        for kb, vb in B.items():
-            k = ka + kb
-            s = out.get(k, ZERO) + va * vb
-            if s:
-                out[k] = s
-            else:
-                del out[k]
-    return out
-
-
-def _laurent_derivative(L: dict) -> dict:
-    return {k - 1: v * k for k, v in L.items() if k}
-
-
-def _laurent_conjugate(L: dict) -> dict:
-    """L(x) -> L(-x)."""
-    return {k: (v if k % 2 == 0 else -v) for k, v in L.items()}
-
-
-def r1_clean(op: dict) -> dict:
-    return {key: L for key, L in ((k, _laurent_clean(v)) for k, v in op.items())
-            if L}
-
-
-def r1_identity() -> dict:
-    return {(0, 0): {0: ONE}}
-
-
-def r1_mul_x(power: int = 1) -> dict:
-    return {(0, 0): {power: ONE}}
-
-
-def r1_reflection() -> dict:
-    return {(0, 1): {0: ONE}}
-
-
-def r1_derivative() -> dict:
-    return {(1, 0): {0: ONE}}
-
-
-def r1_dunkl(c) -> dict:
-    """d - c x^{-1} (1 - s)."""
-    c = QQ(c)
-    return r1_clean({(1, 0): {0: ONE}, (0, 0): {-1: -c}, (0, 1): {-1: c}})
-
-
-def r1_compose(A: dict, B: dict) -> dict:
-    """A after B, normal-ordered to coefficients times d^m s^eps."""
-    out: dict = {}
-    for (m1, e1), L1 in A.items():
-        for (m2, e2), L2 in B.items():
-            L2c = _laurent_conjugate(L2) if e1 else L2
-            sign = -ONE if (e1 and m2 % 2) else ONE
-            eps = (e1 + e2) % 2
-            deriv = L2c
-            for r in range(m1 + 1):
-                coeff = sign * math.comb(m1, r)
-                L = _laurent_mul(L1, deriv)
-                key = (m1 - r + m2, eps)
-                tgt = out.setdefault(key, {})
-                for k, v in L.items():
-                    s = tgt.get(k, ZERO) + coeff * v
-                    if s:
-                        tgt[k] = s
-                    else:
-                        del tgt[k]
-                deriv = _laurent_derivative(deriv)
-                if not deriv:
-                    break
-    return r1_clean(out)
-
-
-def r1_word(letters: Sequence, c) -> dict:
-    """Compose a word given as (symbol, count) pairs, leftmost acting last.
-
-    Symbols: "x" for multiplication, "D" for the rank-one operator.
-    """
-    op = r1_identity()
-    for symbol, count in letters:
-        for _ in range(count):
-            factor = r1_mul_x() if symbol == "x" else r1_dunkl(c)
-            op = r1_compose(op, factor)
-    return op
-
-
-def r1_apply(op: dict, poly: dict) -> dict:
-    """Apply to a Laurent polynomial given as {power: coeff}."""
-    out: dict = {}
-    for (m, eps), L in op.items():
-        g = _laurent_conjugate(poly) if eps else dict(poly)
-        for _ in range(m):
-            g = _laurent_derivative(g)
-        g = _laurent_mul(L, g)
-        for k, v in g.items():
-            s = out.get(k, ZERO) + v
-            if s:
-                out[k] = s
-            else:
-                del out[k]
-    return out
-
-
-def r1_order(op: dict) -> int:
-    """Highest derivative order present; -1 for the zero operator."""
-    return max((m for (m, _) in op), default=-1)
-
-
-def r1_top_identity_coefficient(op: dict) -> dict:
-    """Laurent coefficient of d^order on the identity component."""
-    order = r1_order(op)
-    return dict(op.get((order, 0), {}))

@@ -47,9 +47,9 @@ the remainder or subtracts a multiple of one reducer's tail, so a step
 costs that tail, not a copy of the whole polynomial.  Reduction is
 fraction-free: cross-multiplied subtractions keep everything in ZZ, and a
 remainder is only known up to a unit, a nonzero rational factor, which is
-all that basis insertion and membership need.  Products, powers and
-intersections pass gpolys from ideal to ideal, so rationals appear only
-where an Ideal encodes a Polynomial or builds one for a reader.
+all that basis insertion and membership need.  Powers and intersections
+pass gpolys from ideal to ideal, so rationals appear only where an Ideal
+encodes a Polynomial or builds one for a reader.
 
 Pair management follows the classic update procedure with the product and
 chain criteria.  Selection is the sugar strategy of Giovini, Mora, Niesi,
@@ -540,8 +540,8 @@ class Ideal:
     computed, the reduced basis sorted by lead, both as primitive gpolys
     under the ideal's key.  Ideal(...) keeps gens as given and encodes
     _gens_g when the kernel first needs it.  An ideal the kernel makes (a
-    product, a power, an intersection or its elimination ideal) gets
-    gpolys only, and builds its gens, monic, when they are first read.
+    power, an intersection or its elimination ideal) gets gpolys only, and
+    builds its gens, monic, when they are first read.
     Bases are computed in groebner_basis(), which returns them as monic
     Polynomials, because the benchmark's groebner.basis span wraps that
     method; the kernel reads _core().
@@ -655,14 +655,6 @@ class Ideal:
 # ---------------------------------------------------------------------------
 # ideal operations
 # ---------------------------------------------------------------------------
-
-
-def ideal_product(I: Ideal, J: Ideal) -> Ideal:
-    """Generated by the products of the two reduced bases."""
-    _same_ring(I, J)
-    guard = _guard(I.nvars)
-    return Ideal._from_g([_g_mul(f, g, guard) for f in I._core()
-                          for g in J._core()], I.nvars, I.budget)
 
 
 def ideal_power(I: Ideal, k: int) -> Ideal:

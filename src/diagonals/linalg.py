@@ -1,25 +1,21 @@
-"""Small exact linear algebra helpers: dense rational matrices and a sparse
+"""Small exact linear algebra helpers: dense matrices and a sparse
 incremental row-echelon rank tracker.
 
-Matrices are tuples of tuples of rationals; all arithmetic is exact over
-QQ.
+Matrices are tuples of tuples of ints and rationals; all arithmetic is
+exact, and products of integer matrices stay integral.
 """
 
 from __future__ import annotations
 
-from typing import Hashable, Sequence
+from typing import Hashable
 
-from .polyring import ONE, QQ, ZERO
+from .polyring import ZERO
 
 Matrix = tuple
 
 
-def mat(rows: Sequence[Sequence]) -> Matrix:
-    return tuple(tuple(QQ(e) for e in row) for row in rows)
-
-
 def identity(n: int) -> Matrix:
-    return tuple(tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n))
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
 
 def transpose(m: Matrix) -> Matrix:
@@ -28,21 +24,8 @@ def transpose(m: Matrix) -> Matrix:
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     bt = transpose(b)
-    return tuple(
-        tuple(sum((x * y for x, y in zip(row, col)), ZERO) for col in bt)
-        for row in a
-    )
-
-
-def mat_vec(m: Matrix, v: Sequence) -> tuple:
-    return tuple(sum((x * QQ(y) for x, y in zip(row, v)), ZERO) for row in m)
-
-
-def block_diag(a: Matrix, b: Matrix) -> Matrix:
-    na, nb = len(a), len(b)
-    rows = [tuple(row) + (ZERO,) * nb for row in a]
-    rows += [(ZERO,) * na + tuple(row) for row in b]
-    return tuple(rows)
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt)
+                 for row in a)
 
 
 class RowEchelon:

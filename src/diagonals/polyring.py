@@ -14,20 +14,18 @@ printing and every Groebner basis use it.  The one exception is the
 block order that eliminates the auxiliary variable of an intersection,
 which groebner.ideal_intersect keeps to itself.
 
-Linear substitutions, which carry the group action, avoid rational
-arithmetic in their inner loop: a non-monomial matrix is scaled to integers
-by the lcm of its denominators, split into blocks of variables whose images
-are disjoint (the x- and y-blocks of the doubled action), and the integer
-image of every block monomial is memoised.  Substituting into f multiplies
-memoised block images with Python ints and builds one rational per output
-term.
+Linear substitutions carry the group action.  One n x n matrix acts on
+both halves of the doubled ring, so a non-monomial matrix is scaled to
+integers by the lcm of its denominators and the integer image of every
+monomial in n variables is memoised once, for the x- and the y-half
+alike.  Substituting into f multiplies memoised images with Python ints
+and builds one rational per output term.
 """
 
 from __future__ import annotations
 
 import math
 import random
-import re
 from operator import neg
 from typing import Iterator, Mapping, Sequence
 
@@ -104,13 +102,6 @@ class Polynomial:
         return cls(nvars, {(0,) * nvars: c})
 
     @classmethod
-    def variable(cls, nvars: int, i: int) -> "Polynomial":
-        if not 0 <= i < nvars:
-            raise RingContextError(f"variable index {i} out of range for {nvars} vars")
-        mono = tuple(1 if j == i else 0 for j in range(nvars))
-        return cls(nvars, {mono: ONE})
-
-    @classmethod
     def linear_form(cls, nvars: int, coeffs: Sequence) -> "Polynomial":
         """Sum of coeffs[i] * var_i; coeffs may be shorter than nvars."""
         terms = {}
@@ -136,39 +127,10 @@ class Polynomial:
         degs = {sum(m) for m in self.terms}
         return len(degs) <= 1
 
-    def homogeneous_components(self) -> dict:
-        out: dict[int, dict] = {}
-        for m, c in self.terms.items():
-            out.setdefault(sum(m), {})[m] = c
-        return {d: Polynomial(self.nvars, t) for d, t in sorted(out.items())}
-
-    def bidegree(self):
-        """(x-degree, y-degree) if every term shares it, else None.
-
-        Requires an even variable count; the split is first half / second half.
-        """
-        if self.nvars % 2:
-            raise RingContextError("bidegree needs an even variable count")
-        n = self.nvars // 2
-        seen = None
-        for m in self.terms:
-            bd = (sum(m[:n]), sum(m[n:]))
-            if seen is None:
-                seen = bd
-            elif seen != bd:
-                return None
-        return seen
-
-    def coefficient(self, mono: Monomial):
-        return self.terms.get(tuple(mono), ZERO)
-
     def leading_monomial(self) -> Monomial:
         if not self.terms:
             raise ValueError("zero polynomial has no leading monomial")
         return max(self.terms, key=grevlex_key)
-
-    def leading_coefficient(self):
-        return self.terms[self.leading_monomial()]
 
     # -- arithmetic --------------------------------------------------------
 
@@ -258,22 +220,6 @@ class Polynomial:
     def __repr__(self):
         return f"Polynomial({self.nvars}, {to_string(self)!r})"
 
-    # -- calculus / substitution -------------------------------------------
-
-    def evaluate(self, point: Sequence):
-        """Exact evaluation at a rational point."""
-        if len(point) != self.nvars:
-            raise RingContextError("point length != variable count")
-        pt = [QQ(v) for v in point]
-        total = ZERO
-        for m, c in self.terms.items():
-            val = c
-            for e, v in zip(m, pt):
-                if e:
-                    val = val * v**e
-            total += val
-        return total
-
 
 def _raw(nvars: int, terms: dict) -> Polynomial:
     """Polynomial over terms, taken as they are: every key an exponent
@@ -289,10 +235,6 @@ def _extend(f: Polynomial, extra: int = 1) -> Polynomial:
     """f in the ring with extra more variables, appended last."""
     return Polynomial(f.nvars + extra,
                       {m + (0,) * extra: c for m, c in f.terms.items()})
-
-
-def variables(nvars: int) -> list:
-    return [Polynomial.variable(nvars, i) for i in range(nvars)]
 
 
 def partial_derivative(f: Polynomial, direction: Sequence) -> Polynomial:
@@ -350,18 +292,17 @@ def exact_divide_linear(f: Polynomial, ell: Polynomial) -> Polynomial:
 
 
 class LinearSubstitution:
-    """Substitution var_i -> sum_j M[i][j] var_j.
+    """The doubled action of an n x n matrix M on the ring of 2n variables:
+    x -> M x and y -> M y, so applying it to f yields (x, y) -> f(Mx, My).
 
-    The coordinate vector transforms by M: applying the substitution to f
-    yields the function v -> f(M v).  A matrix with one nonzero per row maps
-    monomials to monomials and takes a direct path.  Any other matrix is
-    scaled to integers by the lcm D of its entry denominators and split into
-    blocks, runs of consecutive variables whose images share no variable.
-    Each block memoises the image of a block monomial m as an integer map
-    {block exponents: c} over D^deg(m), built by
-    image(m) = image(m / x_i) * image(x_i).  A term of f is then the disjoint
-    product of its block images, so all arithmetic runs on ints and each
-    output coefficient becomes one rational at the end.  The memos persist
+    A matrix with one nonzero per row maps monomials to monomials and takes
+    a direct path.  Any other matrix is scaled to integers by the lcm D of
+    its entry denominators, and one memo holds the image of each monomial m
+    in n variables as an integer map {exponents: c} over D^deg(m), built by
+    image(m) = image(m / x_i) * image(x_i).  Both halves transform by the
+    same matrix, so the memo serves x and y alike, and a term of f maps to
+    image(x-part) * image(y-part).  All arithmetic runs on ints and each
+    output coefficient becomes one rational at the end.  The memo persists
     across calls, so reuse one instance when acting repeatedly with the same
     matrix.
     """
@@ -371,54 +312,25 @@ class LinearSubstitution:
         n = len(rows)
         if any(len(r) != n for r in rows):
             raise ValueError("substitution matrix must be square")
-        self.nvars = n
-        self.rows = rows
-        # monomial fast path: every row has exactly one nonzero entry, kept
-        # as an int when it is integral
-        self._mono = []
-        monomial = True
-        for row in rows:
-            nz = [(j, c) for j, c in enumerate(row) if c]
-            if len(nz) == 1:
-                j, c = nz[0]
-                self._mono.append((j, int(c) if c.denominator == 1 else c))
-            else:
-                monomial = False
-                break
-        self.is_monomial = monomial
-        if not monomial:
-            self._init_blocks()
-
-    def _init_blocks(self):
-        rows, n = self.rows, self.nvars
-        den = 1
-        for row in rows:
-            for c in row:
-                den = math.lcm(den, int(c.denominator))
-        self._den = den
-        # blocks are the maximal runs of variables that no nonzero entry
-        # M[i][j] links across, so images of different runs share no variable
-        reach = list(range(n))
-        for i, row in enumerate(rows):
-            for j, c in enumerate(row):
-                if c:
-                    lo, hi = min(i, j), max(i, j)
-                    reach[lo] = max(reach[lo], hi)
-        self._blocks = []
-        start = end = 0
-        for k in range(n):
-            end = max(end, reach[k])
-            if end == k:
-                images = [[(j - start, int(rows[i][j] * den))
-                           for j in range(start, k + 1) if rows[i][j]]
-                          for i in range(start, k + 1)]
-                self._blocks.append(_Block(slice(start, k + 1), images))
-                start = k + 1
+        self.nvars = 2 * n
+        nonzero = [[(j, c) for j, c in enumerate(row) if c] for row in rows]
+        self.is_monomial = all(len(nz) == 1 for nz in nonzero)
+        if self.is_monomial:
+            # the one nonzero entry of each row, kept as an int when it is
+            # integral; the y-half repeats the x-half n variables on
+            half = [(j, int(c) if c.denominator == 1 else c)
+                    for [(j, c)] in nonzero]
+            self._mono = half + [(n + j, c) for j, c in half]
+        else:
+            den = self._den = math.lcm(1, *(int(c.denominator)
+                                            for row in rows for c in row))
+            self._block = _Block([[(j, int(c * den)) for j, c in nz]
+                                  for nz in nonzero])
 
     def __call__(self, f: Polynomial) -> Polynomial:
         if f.nvars != self.nvars:
             raise RingContextError("polynomial/matrix size mismatch")
-        n = self.nvars
+        nv = self.nvars
         if self.is_monomial:
             image = self.monomial_image
             terms: dict = {}
@@ -431,32 +343,27 @@ class LinearSubstitution:
                     terms[key] = s
                 else:
                     del terms[key]
-            return Polynomial(n, terms)
+            return Polynomial(nv, terms)
         if not f.terms:
-            return Polynomial.zero(n)
+            return Polynomial.zero(nv)
         # clear denominators once: f = (1/L) sum c_m m with integer c_m
         lcd, top = 1, 0
         for m, c in f.terms.items():
             lcd = math.lcm(lcd, int(c.denominator))
             top = max(top, sum(m))
-        den = self._den
-        *heads, last = self._blocks
+        den, image, n = self._den, self._block.image, nv // 2
         acc: dict = {}
         for m, c in f.terms.items():
             scale = (int(c.numerator) * (lcd // int(c.denominator))
                      * den ** (top - sum(m)))
-            partial = [((), scale)]
-            for block in heads:
-                img = block.image(m[block.span])
-                partial = [(e + be, pc * bc) for e, pc in partial
-                           for be, bc in img.items()]
-            img = last.image(m[last.span])
-            for e, pc in partial:
-                for be, bc in img.items():
-                    key = e + be
-                    acc[key] = acc.get(key, 0) + pc * bc
+            xs, ys = image(m[:n]), image(m[n:]).items()
+            for ex, cx in xs.items():
+                cx *= scale
+                for ey, cy in ys:
+                    key = ex + ey
+                    acc[key] = acc.get(key, 0) + cx * cy
         total = lcd * den ** top
-        return _raw(n, {e: QQ(v, total) for e, v in acc.items() if v})
+        return _raw(nv, {e: QQ(v, total) for e, v in acc.items() if v})
 
     def monomial_image(self, m: Monomial) -> tuple:
         """(image monomial, scale) of m under a monomial matrix."""
@@ -472,19 +379,18 @@ class LinearSubstitution:
 
 
 class _Block:
-    """A run of variables whose images involve only each other.
+    """The integer images of monomials in n variables under a scaled matrix.
 
-    images[i] lists the (block index, integer coefficient) pairs of the
-    scaled image of the block's i-th variable.  image(m) maps block
-    exponent tuples to ints over D^deg(m); results are memoised, and
-    exponent tuples are interned so that images share them.
+    images[i] lists the (index, integer coefficient) pairs of the scaled
+    image of the i-th variable.  image(m) maps exponent tuples to ints over
+    D^deg(m); results are memoised, and exponent tuples are interned so
+    that images share them.
     """
 
-    __slots__ = ("span", "images", "memo", "exps")
+    __slots__ = ("images", "memo", "exps")
 
-    def __init__(self, span: slice, images: list):
+    def __init__(self, images: list):
         zero = (0,) * len(images)
-        self.span = span
         self.images = images
         self.memo = {zero: {zero: 1}}
         self.exps = {zero: zero}
@@ -597,49 +503,3 @@ def to_string(f: Polynomial, names: Sequence[str] | None = None) -> str:
         else:
             parts.append(f"+ {body}" if c > 0 else f"- {body}")
     return " ".join(parts)
-
-
-_NUM_RE = re.compile(r"^\d+(/\d+)?$")
-_VAR_RE = re.compile(r"^([A-Za-z][A-Za-z0-9_]*)(?:\^(\d+))?$")
-
-
-def from_string(text: str, nvars: int,
-                names: Sequence[str] | None = None) -> Polynomial:
-    """Parse the rendering produced by to_string (signs, '*', '^', 'p/q')."""
-    names = list(names) if names is not None else default_names(nvars)
-    index = {n: i for i, n in enumerate(names)}
-    s = text.replace(" ", "")
-    if not s:
-        raise ValueError("empty polynomial text")
-    if s == "0":
-        return Polynomial.zero(nvars)
-    chunks = re.findall(r"[+-]?[^+-]+", s)
-    if "".join(chunks) != s:
-        raise ValueError(f"cannot tokenize {text!r}")
-    terms: dict = {}
-    for chunk in chunks:
-        sign = ONE
-        if chunk[0] == "+":
-            chunk = chunk[1:]
-        elif chunk[0] == "-":
-            sign = -ONE
-            chunk = chunk[1:]
-        if not chunk:
-            raise ValueError(f"dangling sign in {text!r}")
-        coeff = sign
-        mono = [0] * nvars
-        for factor in chunk.split("*"):
-            if _NUM_RE.match(factor):
-                coeff = coeff * QQ(factor)
-                continue
-            mv = _VAR_RE.match(factor)
-            if not mv or mv.group(1) not in index:
-                raise ValueError(f"bad factor {factor!r} in {text!r}")
-            mono[index[mv.group(1)]] += int(mv.group(2) or 1)
-        key = tuple(mono)
-        s2 = terms.get(key, ZERO) + coeff
-        if s2:
-            terms[key] = s2
-        else:
-            terms.pop(key, None)
-    return Polynomial(nvars, terms)

@@ -1,17 +1,21 @@
-"""Finite real reflection groups in explicit rational matrix form.
+"""Finite real reflection groups as explicit matrices.
 
 Realizations are the classical ambient ones: type A_r acts by permuting
 r+1 coordinates, types B/C/D by signed permutations, and G2 by the
 twelve-element dihedral group on the plane x1+x2+x3 = 0 inside R^3.
-Positive roots are listed in a fixed conventional order: coordinate
-differences first (i < j), then sums, then the short/long singles.
+Positive roots are integer vectors, listed in a fixed conventional order:
+coordinate differences first (i < j), then sums, then the short/long
+singles.  Group elements are matrices with int entries wherever an entry
+is integral, which is every entry but the thirds of G2's elements that
+are not signed permutations.
 
 Every element is a product of reflections s_alpha = 1 - alpha (x) alpha^v
 with the coroot alpha^v = 2 alpha / (alpha . alpha) in the standard dot
 product, so every element is orthogonal: w^{-1} = w^T.  The group acts on
 the doubled polynomial ring in (x, y): x-coordinates transform by w^{-1}
 (functions pull back) and y-coordinates by w^T (the dual action), so both
-blocks transform by the one matrix w^T.  Signs come from the closure:
+blocks transform by the one matrix w^T, the n x n matrix that the
+substitution applies to both halves.  Signs come from the closure:
 each generator is a reflection of determinant -1, so the sign of an
 element is (-1)^length, its determinant.
 
@@ -28,8 +32,8 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .linalg import Matrix, block_diag, identity, mat_mul, transpose
-from .polyring import LinearSubstitution, ONE, Polynomial, QQ, RingContextError, ZERO
+from .linalg import Matrix, identity, mat_mul, transpose
+from .polyring import LinearSubstitution, Polynomial, QQ, RingContextError, ZERO
 
 MAX_GROUP = 10_000
 
@@ -37,22 +41,6 @@ MAX_GROUP = 10_000
 def _dot(a: Sequence, b: Sequence):
     """Sum of products of ints and rationals, as a rational."""
     return sum((x * y for x, y in zip(a, b)), ZERO)
-
-
-def _primitive_int_vector(v: Sequence) -> tuple:
-    """Scale a rational vector by a positive factor to coprime integers.
-
-    The sign pattern is preserved, so each form stays the literal positive
-    root it came from.
-    """
-    den = 1
-    for c in v:
-        den = math.lcm(den, int(QQ(c).denominator))
-    ints = [int(QQ(c) * den) for c in v]
-    g = 0
-    for c in ints:
-        g = math.gcd(g, c)
-    return tuple(c // g for c in ints) if g > 1 else tuple(ints)
 
 
 @dataclass(frozen=True)
@@ -74,18 +62,20 @@ class RootSystem:
         return tuple(2 * QQ(a) / norm for a in alpha)
 
     def reflection(self, alpha: Sequence) -> Matrix:
-        """s_alpha = 1 - alpha (x) alpha_check as an ambient matrix."""
+        """s_alpha = 1 - alpha (x) alpha_check as an ambient matrix, with an
+        int for every integral entry."""
         av = self.coroot(alpha)
         n = self.ambient
-        return tuple(
-            tuple((ONE if i == j else ZERO) - QQ(alpha[i]) * av[j]
-                  for j in range(n))
-            for i in range(n)
-        )
+        rows = ((int(i == j) - alpha[i] * av[j] for j in range(n))
+                for i in range(n))
+        return tuple(tuple(int(c) if c.denominator == 1 else c for c in row)
+                     for row in rows)
 
     def pair_forms(self) -> tuple:
-        """Primitive integer linear form of each positive root."""
-        return tuple(_primitive_int_vector(a) for a in self.positive_roots)
+        """Primitive integer linear form of each positive root: the root
+        over the gcd of its entries, so the signs stay the root's own."""
+        return tuple(tuple(c // math.gcd(*a) for c in a)
+                     for a in self.positive_roots)
 
 
 def root_system(family: str, rank: int = 0) -> RootSystem:
@@ -106,17 +96,13 @@ def root_system(family: str, rank: int = 0) -> RootSystem:
         raise ValueError("rank must be positive")
 
     def e(i: int, n: int, c=1) -> tuple:
-        return tuple(QQ(c) if k == i else ZERO for k in range(n))
+        return tuple(c if k == i else 0 for k in range(n))
 
     def diff(i: int, j: int, n: int) -> tuple:
-        return tuple(
-            QQ(1) if k == i else (QQ(-1) if k == j else ZERO) for k in range(n)
-        )
+        return tuple(1 if k == i else (-1 if k == j else 0) for k in range(n))
 
     def summ(i: int, j: int, n: int) -> tuple:
-        return tuple(
-            QQ(1) if k in (i, j) else ZERO for k in range(n)
-        )
+        return tuple(1 if k in (i, j) else 0 for k in range(n))
 
     if fam == "A":
         n = rank + 1
@@ -147,11 +133,11 @@ def root_system(family: str, rank: int = 0) -> RootSystem:
             diff(0, 1, n),
             diff(0, 2, n),
             diff(1, 2, n),
-            (QQ(2), QQ(-1), QQ(-1)),
-            (QQ(-1), QQ(2), QQ(-1)),
-            (QQ(-1), QQ(-1), QQ(2)),
+            (2, -1, -1),
+            (-1, 2, -1),
+            (-1, -1, 2),
         )
-        gens = (diff(0, 1, n), (QQ(2), QQ(-1), QQ(-1)))
+        gens = (diff(0, 1, n), (2, -1, -1))
         return RootSystem("G", 2, n, pos, gens)
     raise ValueError(f"unknown family {family!r}")
 
@@ -246,9 +232,7 @@ class WeylGroup:
         w^-1 = w^T, and the y-block transforms by w^T."""
         sub = self._sub.get(w)
         if sub is None:
-            wT = transpose(w)
-            sub = LinearSubstitution(block_diag(wT, wT))
-            self._sub[w] = sub
+            sub = self._sub[w] = LinearSubstitution(transpose(w))
         return sub
 
     def act(self, w: Matrix, f: Polynomial) -> Polynomial:
@@ -313,14 +297,6 @@ class WeylGroup:
                 scale = -scale
             acc[image] = acc.get(image, 0) + scale
         return acc
-
-    # -- predicates --------------------------------------------------------------
-
-    def is_invariant(self, f: Polynomial) -> bool:
-        return all(self.act(s, f) == f for s in self.generators)
-
-    def is_alternating(self, f: Polynomial) -> bool:
-        return all(self.act(s, f) == -f for s in self.generators)
 
 
 def orbit_projection(W: WeylGroup, mono: tuple, signed: bool):

@@ -1,14 +1,129 @@
-"""Shared hypothesis strategies and brute-force oracles for the test suite."""
+"""Shared hypothesis strategies, brute-force oracles and polynomial
+helpers for the test suite."""
 
 from __future__ import annotations
 
+import re
+from typing import Sequence
+
 from hypothesis import strategies as st
 
+from diagonals.groebner import Ideal
 from diagonals.polyring import (
+    ONE,
     Polynomial,
     QQ,
+    RingContextError,
+    ZERO,
+    default_names,
     monomials_of_degree,
 )
+
+
+def variables(nvars: int) -> list:
+    return [Polynomial(nvars, {tuple(int(j == i) for j in range(nvars)): ONE})
+            for i in range(nvars)]
+
+
+def evaluate(f: Polynomial, point: Sequence):
+    """Exact evaluation at a rational point."""
+    if len(point) != f.nvars:
+        raise RingContextError("point length != variable count")
+    pt = [QQ(v) for v in point]
+    total = ZERO
+    for m, c in f.terms.items():
+        val = c
+        for e, v in zip(m, pt):
+            if e:
+                val = val * v**e
+        total += val
+    return total
+
+
+def homogeneous_components(f: Polynomial) -> dict:
+    out: dict[int, dict] = {}
+    for m, c in f.terms.items():
+        out.setdefault(sum(m), {})[m] = c
+    return {d: Polynomial(f.nvars, t) for d, t in sorted(out.items())}
+
+
+def bidegree(f: Polynomial):
+    """(x-degree, y-degree) if every term shares it, else None.
+
+    Requires an even variable count; the split is first half / second half.
+    """
+    if f.nvars % 2:
+        raise RingContextError("bidegree needs an even variable count")
+    n = f.nvars // 2
+    seen = None
+    for m in f.terms:
+        bd = (sum(m[:n]), sum(m[n:]))
+        if seen is None:
+            seen = bd
+        elif seen != bd:
+            return None
+    return seen
+
+
+_NUM_RE = re.compile(r"^\d+(/\d+)?$")
+_VAR_RE = re.compile(r"^([A-Za-z][A-Za-z0-9_]*)(?:\^(\d+))?$")
+
+
+def from_string(text: str, nvars: int,
+                names: Sequence[str] | None = None) -> Polynomial:
+    """Parse the rendering produced by to_string (signs, '*', '^', 'p/q')."""
+    names = list(names) if names is not None else default_names(nvars)
+    index = {n: i for i, n in enumerate(names)}
+    s = text.replace(" ", "")
+    if not s:
+        raise ValueError("empty polynomial text")
+    if s == "0":
+        return Polynomial.zero(nvars)
+    chunks = re.findall(r"[+-]?[^+-]+", s)
+    if "".join(chunks) != s:
+        raise ValueError(f"cannot tokenize {text!r}")
+    terms: dict = {}
+    for chunk in chunks:
+        sign = ONE
+        if chunk[0] == "+":
+            chunk = chunk[1:]
+        elif chunk[0] == "-":
+            sign = -ONE
+            chunk = chunk[1:]
+        if not chunk:
+            raise ValueError(f"dangling sign in {text!r}")
+        coeff = sign
+        mono = [0] * nvars
+        for factor in chunk.split("*"):
+            if _NUM_RE.match(factor):
+                coeff = coeff * QQ(factor)
+                continue
+            mv = _VAR_RE.match(factor)
+            if not mv or mv.group(1) not in index:
+                raise ValueError(f"bad factor {factor!r} in {text!r}")
+            mono[index[mv.group(1)]] += int(mv.group(2) or 1)
+        key = tuple(mono)
+        s2 = terms.get(key, ZERO) + coeff
+        if s2:
+            terms[key] = s2
+        else:
+            terms.pop(key, None)
+    return Polynomial(nvars, terms)
+
+
+def block_diag(a, b) -> tuple:
+    """The block-diagonal matrix with blocks a and b."""
+    na, nb = len(a), len(b)
+    rows = [tuple(row) + (ZERO,) * nb for row in a]
+    rows += [(ZERO,) * na + tuple(row) for row in b]
+    return tuple(rows)
+
+
+def product_ideal(A: Ideal, B: Ideal) -> Ideal:
+    """The product of two ideals, generated by the Polynomial products of
+    their reduced bases: formed outside the Groebner kernel."""
+    return Ideal([f * g for f in A.groebner_basis()
+                  for g in B.groebner_basis()])
 
 
 def rationals(max_num: int = 30, max_den: int = 12):
@@ -66,7 +181,7 @@ def span_membership(f: Polynomial, gens: list[Polynomial]) -> bool:
         assert g.is_homogeneous(), "oracle needs homogeneous generators"
         if g:
             pieces.setdefault(g.total_degree(), []).append(g)
-    for d, comp in f.homogeneous_components().items():
+    for d, comp in homogeneous_components(f).items():
         ech = RowEchelon()
         for gd, gcomps in pieces.items():
             if gd > d:

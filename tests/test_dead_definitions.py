@@ -1,9 +1,8 @@
 """Every function, class, method and module-level assignment in the
 package is referenced outside its own definition, somewhere in the
-package, the scripts, the benchmark or the tests, and the ones that only
-the tests reference are exactly those listed in KEPT_FOR_TESTS.  Only the
-standard library's ast is needed, so the check runs with the rest of the
-suite."""
+package, the scripts or the benchmark: the tests reach the package only
+through names that the package itself runs.  Only the standard library's
+ast is needed, so the check runs with the rest of the suite."""
 
 import ast
 import re
@@ -13,29 +12,6 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = "src/diagonals"
 SEARCHED = (PACKAGE, "scripts", "perfbench", "tests")
 DOTTED = re.compile(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*")
-# public names that nothing but the tests uses, kept on purpose as the
-# package's API or as the tests' way in; a new one fails until listed here
-KEPT_FOR_TESTS = (
-    "cells.check_partition",
-    "dunkl.coordinate_operators",
-    "dunkl.equivariant_transport",
-    "dunkl.r1_apply",
-    "dunkl.r1_derivative",
-    "dunkl.r1_reflection",
-    "dunkl.r1_top_identity_coefficient",
-    "dunkl.r1_word",
-    "groebner.ideal_product",
-    "linalg.mat",
-    "polyring.Polynomial.bidegree",
-    "polyring.Polynomial.coefficient",
-    "polyring.Polynomial.evaluate",
-    "polyring.Polynomial.homogeneous_components",
-    "polyring.Polynomial.leading_coefficient",
-    "polyring.from_string",
-    "polyring.variables",
-    "weyl.WeylGroup.is_alternating",
-    "weyl.WeylGroup.is_invariant",
-)
 
 
 def _dunder(name: str) -> bool:
@@ -126,6 +102,8 @@ def test_every_definition_is_referenced():
 
 
 def test_definitions_only_the_tests_use_are_listed():
+    # no definition is kept for the tests alone: oracles and helpers that
+    # only the tests need live under tests/
     outside_tests = [folder for folder in SEARCHED if folder != "tests"]
     assert dead_definitions(_sources([PACKAGE]), _sources(outside_tests)) \
-        == sorted(KEPT_FOR_TESTS)
+        == []

@@ -1,4 +1,6 @@
+import math
 import random
+from typing import Sequence
 
 import pytest
 
@@ -7,32 +9,22 @@ from diagonals.dunkl import (
     check_commutativity,
     check_defining_relation,
     commutation_rhs,
-    coordinate_operators,
     divided_difference,
-    equivariant_transport,
     multiplication_commutator,
-    r1_apply,
-    r1_compose,
-    r1_derivative,
-    r1_dunkl,
-    r1_identity,
-    r1_mul_x,
-    r1_order,
-    r1_reflection,
-    r1_top_identity_coefficient,
-    r1_word,
 )
 from diagonals.polyring import (
     ExactDivisionError,
     ONE,
     Polynomial,
     QQ,
+    ZERO,
     _extend,
     exact_divide_linear,
     partial_derivative,
     random_polynomial,
 )
 from diagonals.weyl import WeylGroup, root_system
+from support import homogeneous_components, variables
 
 C_SAMPLES = [QQ(0), QQ(1, 2), QQ(1), QQ(3, 7)]
 
@@ -42,7 +34,7 @@ def group(name: str) -> WeylGroup:
 
 
 def xvar(n: int, i: int) -> Polynomial:
-    return Polynomial.variable(2 * n, i)
+    return variables(2 * n)[i]
 
 
 class TestRankOneClosedForm:
@@ -86,7 +78,8 @@ class TestCommutativity:
     def test_coordinate_operators_commute(self, name, c):
         W = group(name)
         n = W.ambient
-        ops = coordinate_operators(W, c)
+        ops = [DunklOperator(W, c, tuple(int(i == j) for j in range(n)))
+               for i in range(n)]
         rng = random.Random(602)
         for _ in range(4):
             f = _extend(random_polynomial(rng, n, 4, 4), n)
@@ -122,7 +115,10 @@ class TestEquivariance:
             w = rng.choice(elements)
             v = tuple(rng.randint(-2, 2) for _ in range(n))
             D = DunklOperator(W, QQ(3, 7), v)
-            Dw = equivariant_transport(W, w, D)
+            # the operator in the direction w(v)
+            Dw = DunklOperator(W, D.c, tuple(sum(a * b for a, b in
+                                                 zip(row, D.direction))
+                                             for row in w))
             f = _extend(random_polynomial(rng, n, 4, 4), n)
             assert W.act(w, D(f)) == Dw(W.act(w, f))
 
@@ -134,7 +130,7 @@ class TestShape:
         rng = random.Random(605)
         for _ in range(8):
             f = _extend(random_polynomial(rng, 2, 5, 3), 2)
-            for piece in f.homogeneous_components().values():
+            for piece in homogeneous_components(f).values():
                 out = D(piece)
                 if out:
                     assert out.is_homogeneous()
@@ -152,7 +148,7 @@ class TestShape:
         W = group("A2")
         D = DunklOperator(W, QQ(1), (1, 0, 0))
         with pytest.raises(ValueError):
-            D(Polynomial.variable(6, 4))
+            D(variables(6)[4])
 
     def test_check_helpers(self):
         W = group("B2")
@@ -232,6 +228,139 @@ class TestDividedDifferences:
         with pytest.raises(ExactDivisionError):
             divided_difference(W, 0, y1)
         assert len(acts) == 1
+
+
+# ---------------------------------------------------------------------------
+# rank-one symbolic calculus, the oracle of TestRankOneSymbols
+# ---------------------------------------------------------------------------
+# A tiny noncommutative calculus for the rank-one case: operators are
+# finite sums  L(x) d^m s^eps  with Laurent polynomial coefficients,
+# composed through the rules  s x = -x s  and  d x = x d + 1.  It checks
+# words in multiplication operators and the rank-one operator symbolically
+# against their action on polynomials.
+#
+# An operator is a dict {(m, eps): Laurent} with m the derivative order,
+# eps in {0, 1} flagging the reflection, and Laurent a dict {power: QQ}.
+
+
+def _laurent_clean(L: dict) -> dict:
+    return {k: v for k, v in L.items() if v}
+
+
+def _laurent_mul(A: dict, B: dict) -> dict:
+    out: dict = {}
+    for ka, va in A.items():
+        for kb, vb in B.items():
+            k = ka + kb
+            s = out.get(k, ZERO) + va * vb
+            if s:
+                out[k] = s
+            else:
+                del out[k]
+    return out
+
+
+def _laurent_derivative(L: dict) -> dict:
+    return {k - 1: v * k for k, v in L.items() if k}
+
+
+def _laurent_conjugate(L: dict) -> dict:
+    """L(x) -> L(-x)."""
+    return {k: (v if k % 2 == 0 else -v) for k, v in L.items()}
+
+
+def r1_clean(op: dict) -> dict:
+    return {key: L for key, L in ((k, _laurent_clean(v)) for k, v in op.items())
+            if L}
+
+
+def r1_identity() -> dict:
+    return {(0, 0): {0: ONE}}
+
+
+def r1_mul_x(power: int = 1) -> dict:
+    return {(0, 0): {power: ONE}}
+
+
+def r1_reflection() -> dict:
+    return {(0, 1): {0: ONE}}
+
+
+def r1_derivative() -> dict:
+    return {(1, 0): {0: ONE}}
+
+
+def r1_dunkl(c) -> dict:
+    """d - c x^{-1} (1 - s)."""
+    c = QQ(c)
+    return r1_clean({(1, 0): {0: ONE}, (0, 0): {-1: -c}, (0, 1): {-1: c}})
+
+
+def r1_compose(A: dict, B: dict) -> dict:
+    """A after B, normal-ordered to coefficients times d^m s^eps."""
+    out: dict = {}
+    for (m1, e1), L1 in A.items():
+        for (m2, e2), L2 in B.items():
+            L2c = _laurent_conjugate(L2) if e1 else L2
+            sign = -ONE if (e1 and m2 % 2) else ONE
+            eps = (e1 + e2) % 2
+            deriv = L2c
+            for r in range(m1 + 1):
+                coeff = sign * math.comb(m1, r)
+                L = _laurent_mul(L1, deriv)
+                key = (m1 - r + m2, eps)
+                tgt = out.setdefault(key, {})
+                for k, v in L.items():
+                    s = tgt.get(k, ZERO) + coeff * v
+                    if s:
+                        tgt[k] = s
+                    else:
+                        del tgt[k]
+                deriv = _laurent_derivative(deriv)
+                if not deriv:
+                    break
+    return r1_clean(out)
+
+
+def r1_word(letters: Sequence, c) -> dict:
+    """Compose a word given as (symbol, count) pairs, leftmost acting last.
+
+    Symbols: "x" for multiplication, "D" for the rank-one operator.
+    """
+    op = r1_identity()
+    for symbol, count in letters:
+        for _ in range(count):
+            factor = r1_mul_x() if symbol == "x" else r1_dunkl(c)
+            op = r1_compose(op, factor)
+    return op
+
+
+def r1_apply(op: dict, poly: dict) -> dict:
+    """Apply to a Laurent polynomial given as {power: coeff}."""
+    out: dict = {}
+    for (m, eps), L in op.items():
+        g = _laurent_conjugate(poly) if eps else dict(poly)
+        for _ in range(m):
+            g = _laurent_derivative(g)
+        g = _laurent_mul(L, g)
+        for k, v in g.items():
+            s = out.get(k, ZERO) + v
+            if s:
+                out[k] = s
+            else:
+                del out[k]
+    return out
+
+
+def r1_order(op: dict) -> int:
+    """Highest derivative order present; -1 for the zero operator."""
+    return max((m for (m, _) in op), default=-1)
+
+
+def r1_top_identity_coefficient(op: dict) -> dict:
+    """Laurent coefficient of d^order on the identity component."""
+    order = r1_order(op)
+    return dict(op.get((order, 0), {}))
 
 
 class TestRankOneSymbols:

@@ -3,34 +3,38 @@ from hypothesis import strategies as st
 
 from diagonals.linalg import (
     RowEchelon,
-    block_diag,
     identity,
-    mat,
     mat_mul,
-    mat_vec,
     transpose,
 )
 from diagonals.polyring import QQ
 
-from support import rationals
+from support import block_diag, rationals
 
 
 def small_matrices(n):
     return st.lists(
-        st.lists(rationals(6, 4), min_size=n, max_size=n),
+        st.tuples(*(rationals(6, 4) for _ in range(n))),
         min_size=n, max_size=n,
-    ).map(mat)
+    ).map(tuple)
 
 
 class TestDense:
     def test_identity_and_mul(self):
-        m = mat([[1, 2], [3, 4]])
+        m = ((1, 2), (3, 4))
+        assert identity(2) == ((1, 0), (0, 1))
         assert mat_mul(m, identity(2)) == m
-        assert mat_vec(m, (1, 1)) == (QQ(3), QQ(7))
+        assert mat_mul(m, ((1,), (1,))) == ((3,), (7,))
+        # integer matrices multiply to integer matrices
+        assert all(type(c) is int for row in mat_mul(m, m) for c in row)
+        assert mat_mul(m, ((QQ(1, 2), 0), (0, 1))) == ((QQ(1, 2), 2),
+                                                      (QQ(3, 2), 4))
 
     def test_block_diag(self):
-        b = block_diag(mat([[2]]), mat([[0, 1], [1, 0]]))
-        assert b == mat([[2, 0, 0], [0, 0, 1], [0, 1, 0]])
+        # the tests' block_diag, which doubles a matrix for the oracle of
+        # the doubled-ring substitution
+        b = block_diag(((2,),), ((0, 1), (1, 0)))
+        assert b == ((2, 0, 0), (0, 0, 1), (0, 1, 0))
 
     @given(small_matrices(3))
     def test_transpose_involution(self, m):

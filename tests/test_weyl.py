@@ -6,17 +6,21 @@ import pytest
 
 import diagonals
 from diagonals import weyl
-from diagonals.linalg import identity, mat, mat_mul, transpose
+from diagonals.linalg import identity, mat_mul, transpose
 from diagonals.polyring import (
     Polynomial,
     QQ,
-    from_string,
     random_polynomial,
     to_string,
-    variables,
 )
 from diagonals.weyl import RootSystem, WeylGroup, root_system
-from support import naive_average, sympy_expr, sympy_matrix
+from support import (
+    from_string,
+    naive_average,
+    sympy_expr,
+    sympy_matrix,
+    variables,
+)
 
 
 def test_group_orders():
@@ -50,13 +54,13 @@ def test_positive_root_counts_and_order():
 def test_session_generator_matrices():
     b3 = root_system("B3")
     gens = [b3.reflection(a) for a in b3.generator_roots]
-    assert gens[0] == mat([[0, 1, 0], [1, 0, 0], [0, 0, 1]])
-    assert gens[1] == mat([[1, 0, 0], [0, 0, 1], [0, 1, 0]])
-    assert gens[2] == mat([[-1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    assert gens[0] == ((0, 1, 0), (1, 0, 0), (0, 0, 1))
+    assert gens[1] == ((1, 0, 0), (0, 0, 1), (0, 1, 0))
+    assert gens[2] == ((-1, 0, 0), (0, 1, 0), (0, 0, 1))
 
     g2 = root_system("G2")
     m1, m2 = (g2.reflection(a) for a in g2.generator_roots)
-    assert m1 == mat([[0, 1, 0], [1, 0, 0], [0, 0, 1]])
+    assert m1 == ((0, 1, 0), (1, 0, 0), (0, 0, 1))
     third = QQ(1, 3)
     assert m2 == tuple(
         tuple(third * c for c in row)
@@ -69,10 +73,27 @@ def test_reflection_negates_root():
         rs = root_system(name)
         for alpha in rs.positive_roots:
             s = rs.reflection(alpha)
-            from diagonals.linalg import mat_vec
-
-            assert mat_vec(s, alpha) == tuple(-QQ(a) for a in alpha)
+            column = tuple((a,) for a in alpha)
+            assert mat_mul(s, column) == tuple((-a,) for a in alpha)
             assert mat_mul(s, s) == identity(rs.ambient)
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "C3", "D4", "G2"])
+def test_root_data_and_signed_permutations_are_integral(name):
+    # roots are int vectors and a reflection's integral entries are ints;
+    # only G2 has elements with entries outside ZZ, six of them, in thirds
+    W = WeylGroup(root_system(name))
+    assert all(type(c) is int for a in W.root_system.positive_roots
+               for c in a)
+    for s in W.reflections:
+        assert all(type(c) is int or c.denominator == 3
+                   for row in s for c in row)
+    dense = [w for w in W.elements
+             if any(c.denominator != 1 for row in w for c in row)]
+    assert len(dense) == (6 if name == "G2" else 0)
+    if name != "G2":
+        assert all(type(c) is int for w in W.elements for row in w
+                   for c in row)
 
 
 def test_coroots_pair_to_two():
@@ -170,8 +191,8 @@ def test_averages_are_projections():
         em = W.antisymmetrize(f)
         assert W.symmetrize(e) == e
         assert W.antisymmetrize(em) == em
-        assert W.is_invariant(e)
-        assert W.is_alternating(em)
+        assert all(W.act(s, e) == e for s in W.generators)
+        assert all(W.act(s, em) == -em for s in W.generators)
         # cross projections annihilate
         assert W.symmetrize(em) == Polynomial.zero(2 * n)
         assert W.antisymmetrize(e) == Polynomial.zero(2 * n)
