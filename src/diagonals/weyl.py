@@ -5,9 +5,9 @@ r+1 coordinates, types B/C/D by signed permutations, and G2 by the
 twelve-element dihedral group on the plane x1+x2+x3 = 0 inside R^3.
 Positive roots are integer vectors, listed in a fixed conventional order:
 coordinate differences first (i < j), then sums, then the short/long
-singles.  Group elements are matrices with int entries wherever an entry
-is integral, which is every entry but the thirds of G2's elements that
-are not signed permutations.
+singles.  Reflections keep every integral entry an int, so every group
+but G2 consists of integer matrices; G2's elements mix ints with
+Fractions, its thirds among them.
 
 Every element is a product of reflections s_alpha = 1 - alpha (x) alpha^v
 with the coroot alpha^v = 2 alpha / (alpha . alpha) in the standard dot
