@@ -20,13 +20,12 @@ the reverse inclusion, graded piece by graded piece.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .groebner import (
     Budget,
     Ideal,
-    _to_g,
-    _unpack,
     graded_basis,
     intersect_many,
     minimal_generators,
@@ -94,9 +93,17 @@ def discriminant(rs: RootSystem) -> Polynomial:
 
 
 def primitive_part(f: Polynomial) -> Polynomial:
-    """Rescale to coprime integer coefficients with positive leading one."""
-    return Polynomial(f.nvars, {_unpack(m, f.nvars): c
-                                for _, m, c in _to_g(f.terms)})
+    """Rescale to coprime integer coefficients with positive leading one:
+    times the lcm of the denominators, over the gcd of the numerators that
+    gives, with the sign of the leading coefficient."""
+    if not f:
+        return f
+    den = math.lcm(*(int(c.denominator) for c in f.terms.values()))
+    num = {m: int(c * den) for m, c in f.terms.items()}
+    g = math.gcd(*num.values())
+    if num[f.leading_monomial()] < 0:
+        g = -g
+    return Polynomial(f.nvars, {m: c // g for m, c in num.items()})
 
 
 def alternant_basis(W: WeylGroup, a: int, b: int,

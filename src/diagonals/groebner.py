@@ -447,24 +447,27 @@ class _Basis:
             if s:
                 self.add(s, sugar)
 
-    def reduced(self) -> list:
-        """Reduced basis as primitive gpolys sorted ascending by lead key."""
-        polys, guard = self.polys, self.guard
-        # minimalize: drop elements whose lead another kept lead divides
-        order_idx = sorted(range(len(polys)), key=lambda i: polys[i][0][0])
-        kept_idx: list = []
-        for i in order_idx:
-            m = polys[i][0][1]
-            if not any(_packed_divides(polys[j][0][1], m, guard)
-                       for j in kept_idx):
-                kept_idx.append(i)
-        minimal = [polys[i] for i in kept_idx]
+    def reduced(self, below: int | None = None) -> list:
+        """Reduced basis as primitive gpolys sorted ascending by lead key,
+        of the elements whose lead key is below `below` when it is given.
 
-        # interreduce tails, ascending; earlier elements are already final
+        A divisor of a monomial is no larger than it, so in ascending order
+        an element is dropped when an earlier kept lead divides its lead and
+        is otherwise reduced against the earlier, reduced elements alone:
+        its terms stay below its lead, so below every later lead.  Hence no
+        lead at or above a bound touches the elements below it, which under
+        _elimination_key, with t's key as the bound, make the reduced basis
+        of the t-free part (Cox, Little and O'Shea, ch. 3 §1).
+        """
+        polys = sorted((g for g in self.polys
+                        if below is None or g[0][0] < below),
+                       key=lambda g: g[0][0])
         reduced: list = []
-        for pos, g in enumerate(minimal):
-            others = reduced + minimal[pos + 1:]
-            reduced.append(_g_nf(g, others, self.nvars, self.budget))
+        for g in polys:
+            m = g[0][1]
+            if not any(_packed_divides(r[0][1], m, self.guard)
+                       for r in reduced):
+                reduced.append(_g_nf(g, reduced, self.nvars, self.budget))
         return reduced
 
 
@@ -538,10 +541,11 @@ class Ideal:
 
     Term forms.  _gens_g holds the generators and _gb, None until it is
     computed, the reduced basis sorted by lead, both as primitive gpolys
-    under the ideal's key.  Ideal(...) keeps gens as given and encodes
-    _gens_g when the kernel first needs it.  An ideal the kernel makes (a
-    power, an intersection or its elimination ideal) gets gpolys only, and
-    builds its gens, monic, when they are first read.
+    under the ideal's key; under _elimination_key, that of ideal_intersect's
+    E, _gb is the reduced basis of E cap k[x] only.  Ideal(...) keeps gens
+    as given and encodes _gens_g when the kernel first needs it.  An ideal
+    the kernel makes (a power, an intersection or its elimination ideal)
+    gets gpolys only, and builds its gens, monic, when they are first read.
     Bases are computed in groebner_basis(), which returns them as monic
     Polynomials, because the benchmark's groebner.basis span wraps that
     method; the kernel reads _core().
@@ -612,7 +616,9 @@ class Ideal:
                 basis.add(g, max(sum(_unpack(m, self.nvars))
                                  for _, m, _ in g))
             basis.run()
-            self._gb = basis.reduced()
+            self._gb = basis.reduced(1 << (self.nvars - 1) * _WIDTH
+                                     if self._key is _elimination_key
+                                     else None)
         return tuple(_g_to_poly(g, self.nvars) for g in self._gb)
 
     def _core(self) -> list:
@@ -674,11 +680,12 @@ def ideal_intersect(I: Ideal, J: Ideal) -> Ideal:
     The elimination ideal E is generated by t*f and (1-t)*g over the ring
     extended by t, formed from the generators' gpolys, and its basis is
     taken under _elimination_key, which ranks any monomial with t above
-    every monomial without.  The elements of E's reduced basis free of t
-    then form the reduced basis of I cap J: t is the top field and the top
-    key digit, so a t-free gpoly of E is already the grevlex gpoly of the
-    ring without t, in lead order.  The intersection is generated by them
-    and carries that basis.  E and the result keep I's budget.
+    every monomial without.  Under that key an ideal's reduced basis is
+    only the t-free part of the full one, which is the reduced basis of
+    I cap J (see _Basis.reduced): t is the top field and the top key digit,
+    so a t-free gpoly of E is already the grevlex gpoly of the ring without
+    t, in lead order.  The intersection is generated by it and carries it
+    as its basis.  E and the result keep I's budget.
     """
     _same_ring(I, J)
     n = I.nvars
@@ -690,8 +697,7 @@ def ideal_intersect(I: Ideal, J: Ideal) -> Ideal:
                     + [(k, m, -c) for k, m, c in h])
     E = Ideal._from_g(gens, n + 1, I.budget)
     E._key = _elimination_key
-    basis = [g for g in E._core() if not g[0][0] >> n * _WIDTH]
-    return Ideal._from_g(basis, n, I.budget, basis)
+    return Ideal._from_g(E._core(), n, I.budget, E._core())
 
 
 def intersect_many(ideals) -> Ideal:

@@ -364,6 +364,23 @@ class TestAlternants:
         assert g == x1 - 2 * x2 or g == 2 * x2 - x1
         assert g.terms[g.leading_monomial()] > 0
 
+    def test_primitive_part_matches_the_kernel_encoding(self):
+        # the oracle is the kernel's primitive gpoly of f, decoded
+        def oracle(f):
+            return Polynomial(f.nvars, {
+                groebner._unpack(m, f.nvars): c
+                for _, m, c in groebner._to_g(f.terms)})
+
+        rng = random.Random(52)
+        for _ in range(200):
+            f = random_polynomial(rng, 4, 4, 6)
+            f = Polynomial(4, {m: c / rng.randint(1, 12) * rng.choice((1, 7))
+                               for m, c in f.terms.items()})
+            g = primitive_part(f)
+            assert g == oracle(f)
+            assert all(c.denominator == 1 for c in g.terms.values())
+        assert primitive_part(Polynomial.zero(4)) == Polynomial.zero(4)
+
 
 class TestRestrictionOracle:
     @pytest.mark.parametrize("name, top", [

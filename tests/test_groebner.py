@@ -851,6 +851,66 @@ class TestAgainstSympy:
         assert checked == 147
 
 
+def _full_elimination_t_free(A, B):
+    """The t-free elements, ascending, of the full reduced basis of
+    t*A + (1-t)*B, formed from Polynomials and reduced with no bound."""
+    n = A.nvars
+    t = Polynomial(n + 1, {(0,) * n + (1,): 1})
+    ext = [Polynomial(n + 1, {m + (0,): c for m, c in f.terms.items()})
+           for f in A.gens + B.gens]
+    gens = ([t * f for f in ext[:len(A.gens)]]
+            + [(1 - t) * f for f in ext[len(A.gens):]])
+    basis = groebner._Basis(groebner._elimination_key, n + 1, A.budget)
+    for f in gens:
+        basis.add(groebner._to_g(f.terms, groebner._elimination_key),
+                  f.total_degree())
+    basis.run()
+    return [g for g in basis.reduced() if not g[0][0] >> n * groebner._WIDTH]
+
+
+class TestEliminationShortcut:
+    # ideal_intersect keeps only the reduced t-free part of the elimination
+    # basis; it must be, element for element, the t-free part of the full
+    # reduced basis
+
+    @staticmethod
+    def _check(A, B, K):
+        full = _full_elimination_t_free(A, B)
+        assert K._core() == full
+        assert all(not g[0][0] >> A.nvars * groebner._WIDTH
+                   for g in K._core())
+        return len(full)
+
+    def test_seeded_pairs(self):
+        sizes = []
+        for seed in range(40):
+            rng = random.Random(seed)
+            A = Ideal(_seeded_gens(seed, rng, rng.randint(1, 3)), nvars=3)
+            B = Ideal(_seeded_gens(seed, rng, rng.randint(1, 3)), nvars=3)
+            if A.gens and B.gens:
+                sizes.append(self._check(A, B, ideal_intersect(A, B)))
+        assert len(sizes) >= 30 and max(sizes) > 1
+
+    @pytest.mark.parametrize("build", [
+        lambda: symbolic_power(root_system("G2"), 2),
+        lambda: symbolic_power(root_system("B2"), 2),
+        lambda: diagideals.ideal_I(root_system("B3")),
+    ], ids=["G2-square", "B2-square", "B3-I"])
+    def test_folds(self, build, monkeypatch):
+        folds = []
+
+        def recorded(A, B):
+            K = ideal_intersect(A, B)
+            folds.append((A, B, K))
+            return K
+
+        monkeypatch.setattr(groebner, "ideal_intersect", recorded)
+        build()
+        assert folds
+        for A, B, K in folds:
+            self._check(A, B, K)
+
+
 class TestPinnedBasis:
     def test_g2_symbolic_square(self):
         # recorded under the normal strategy; a reduced basis is unique, so
