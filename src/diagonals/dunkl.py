@@ -16,9 +16,18 @@ product <v, alpha><alpha_check, xi> is insensitive to root rescaling.
 
 T_v is linear, so it acts as a map on monomials: T_v f accumulates the
 images of f's terms.  Each operator memoises T_v m, and the divided
-difference (m - s_alpha m) / alpha(x) of each monomial for each positive
-root is memoised per group, so operators with other directions or
+difference Delta(m) = (m - s_alpha m) / alpha(x) of each monomial for each
+positive root is memoised per group, so operators with other directions or
 parameters share that work.
+
+No divided difference is a quotient.  Since x - s_alpha x =
+<alpha_check, x> alpha, the difference x_i - s_alpha(x_i) is the constant
+alpha_check_i times alpha(x), so Delta(x_i) = alpha_check_i, and the twisted
+Leibniz rule
+
+    Delta(x_i u)  =  Delta(x_i) u  +  s_alpha(x_i) Delta(u)
+
+builds Delta of every monomial from those of its prefixes.
 """
 
 from __future__ import annotations
@@ -26,14 +35,7 @@ from __future__ import annotations
 import weakref
 from typing import Sequence
 
-from .polyring import (
-    ONE,
-    Polynomial,
-    QQ,
-    RingContextError,
-    ZERO,
-    exact_divide_linear,
-)
+from .polyring import Polynomial, QQ, RingContextError, ZERO
 from .weyl import WeylGroup, _dot
 
 
@@ -44,19 +46,43 @@ _DIVIDED: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 def divided_difference(W: WeylGroup, k: int, m: tuple) -> dict:
     """(m - s_k m) / alpha_k(x) for the k-th positive root, as a term map.
 
-    alpha_k is taken in its primitive integer form.  Results are memoised
-    per group and shared between callers, which must not mutate them.
-    The first computation divides exactly, so a quotient that is not a
-    polynomial raises ExactDivisionError.
+    alpha_k is taken in its primitive integer form, whose coroot
+    alpha_check = 2 alpha / (alpha, alpha) satisfies x - s_k x =
+    <alpha_check, x> alpha.  With i the first variable of m and m = x_i u,
+    the twisted Leibniz rule gives
+
+        Delta(m)  =  alpha_check_i u  +  s_k(x_i) Delta(u),
+
+    where s_k(x_i) = sum_j s[i][j] x_j over row i of the symmetric
+    reflection s = W.reflections[k], and Delta(1) = 0.  Prefixes are
+    memoised with m, per group, and shared between callers, which must not
+    mutate the maps.  Only x-block monomials have a polynomial divided
+    difference: one with a y-exponent raises ValueError.
     """
     memo = _DIVIDED.setdefault(W, {})
     got = memo.get((k, m))
-    if got is None:
-        f = Polynomial(len(m), {m: ONE})
-        prim = W.root_system.pair_forms()[k]
-        diff = f - W.act(W.reflections[k], f)
-        got = exact_divide_linear(diff, Polynomial.linear_form(len(m), prim))
-        got = memo[k, m] = got.terms
+    if got is not None:
+        return got
+    if any(m[W.ambient:]):
+        raise ValueError("divided differences act on x-block monomials only")
+    got = {}
+    if any(m):
+        i = next(j for j, e in enumerate(m) if e)
+        u = m[:i] + (m[i] - 1,) + m[i + 1:]
+        rs = W.root_system
+        delta = rs.coroot(rs.pair_forms()[k])[i]
+        if delta:
+            got[u] = delta
+        for q, a in divided_difference(W, k, u).items():
+            for j, s in enumerate(W.reflections[k][i]):
+                if s:
+                    p = q[:j] + (q[j] + 1,) + q[j + 1:]
+                    t = got.get(p, ZERO) + s * a
+                    if t:
+                        got[p] = t
+                    else:
+                        del got[p]
+    memo[k, m] = got
     return got
 
 

@@ -68,6 +68,3 @@ class RowEchelon:
         lc = red[lead]
         self.pivots[lead] = {k: v / lc for k, v in red.items()}
         return True
-
-    def contains(self, row: dict) -> bool:
-        return not self.reduce(row)

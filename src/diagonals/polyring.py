@@ -8,6 +8,9 @@ y-block.
 
 Coefficients are exact rationals (gmpy2.mpq when installed, else
 fractions.Fraction).  Nothing in this package touches floating point.
+The operands of +, - and == are polynomials in one ring; * also takes
+a rational.  Polynomials are multiplied, differentiated and substituted
+into, never divided.
 
 There is one monomial order, grevlex (grevlex_key): leading terms,
 printing and every Groebner basis use it.  The one exception is the
@@ -44,10 +47,6 @@ class RingContextError(ValueError):
     """Raised when operands live in rings with different variable counts."""
 
 
-class ExactDivisionError(ArithmeticError):
-    """Raised when a division that must be exact leaves a remainder."""
-
-
 # ---------------------------------------------------------------------------
 # monomial order
 # ---------------------------------------------------------------------------
@@ -73,7 +72,7 @@ class Polynomial:
     Equality is structural (same variable count, same term map).
     """
 
-    __slots__ = ("nvars", "terms", "_hash")
+    __slots__ = ("nvars", "terms")
 
     def __init__(self, nvars: int, terms: Mapping[Monomial, object] | None = None):
         clean = {}
@@ -89,7 +88,6 @@ class Polynomial:
                     clean[m] = c
         self.nvars = nvars
         self.terms = clean
-        self._hash = None
 
     # -- constructors ------------------------------------------------------
 
@@ -141,8 +139,6 @@ class Polynomial:
             )
 
     def __add__(self, other):
-        if not isinstance(other, Polynomial):
-            return self + Polynomial.constant(self.nvars, other)
         self._check(other)
         terms = dict(self.terms)
         for m, c in other.terms.items():
@@ -153,18 +149,11 @@ class Polynomial:
                 terms.pop(m, None)
         return _raw(self.nvars, terms)
 
-    __radd__ = __add__
-
     def __neg__(self):
         return _raw(self.nvars, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
-        if not isinstance(other, Polynomial):
-            return self - Polynomial.constant(self.nvars, other)
         return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         if not isinstance(other, Polynomial):
@@ -203,16 +192,8 @@ class Polynomial:
 
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
-            if not self.terms:
-                return other == 0
-            const = (0,) * self.nvars
-            return len(self.terms) == 1 and const in self.terms and self.terms[const] == other
+            return NotImplemented
         return self.nvars == other.nvars and self.terms == other.terms
-
-    def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.nvars, frozenset(self.terms.items())))
-        return self._hash
 
     def __str__(self):
         return to_string(self)
@@ -227,7 +208,6 @@ def _raw(nvars: int, terms: dict) -> Polynomial:
     out = Polynomial.__new__(Polynomial)
     out.nvars = nvars
     out.terms = terms
-    out._hash = None
     return out
 
 
@@ -260,35 +240,6 @@ def _divides(a: Monomial, b: Monomial) -> bool:
         if x > y:
             return False
     return True
-
-
-def exact_divide_linear(f: Polynomial, ell: Polynomial) -> Polynomial:
-    """Divide f by a degree-one polynomial; raise if the division is inexact."""
-    if ell.nvars != f.nvars:
-        raise RingContextError("divisor lives in a different ring")
-    if ell.total_degree() != 1:
-        raise ExactDivisionError("divisor must have total degree exactly 1")
-    lm = ell.leading_monomial()
-    lc = ell.terms[lm]
-    rest = [(m, c) for m, c in ell.terms.items() if m != lm]
-    num = dict(f.terms)
-    quo: dict = {}
-    while num:
-        m = max(num, key=grevlex_key)
-        c = num.pop(m)
-        if not _divides(lm, m):
-            raise ExactDivisionError(f"remainder term {m} not divisible")
-        qm = tuple(e - d for e, d in zip(m, lm))
-        qc = c / lc
-        quo[qm] = quo.get(qm, ZERO) + qc
-        for rm, rc in rest:
-            tm = tuple(e + d for e, d in zip(qm, rm))
-            s = num.get(tm, ZERO) - qc * rc
-            if s:
-                num[tm] = s
-            else:
-                num.pop(tm, None)
-    return Polynomial(f.nvars, quo)
 
 
 class LinearSubstitution:
@@ -477,14 +428,10 @@ def default_names(nvars: int) -> list[str]:
     return names + ["t"] * (nvars % 2)
 
 
-def _coeff_str(c) -> str:
-    return str(c)
-
-
-def to_string(f: Polynomial, names: Sequence[str] | None = None) -> str:
+def to_string(f: Polynomial) -> str:
     if not f.terms:
         return "0"
-    names = list(names) if names is not None else default_names(f.nvars)
+    names = default_names(f.nvars)
     parts = []
     for m in sorted(f.terms, key=grevlex_key, reverse=True):
         c = f.terms[m]
@@ -493,11 +440,11 @@ def to_string(f: Polynomial, names: Sequence[str] | None = None) -> str:
         mono = "*".join(factors)
         mag = c if c > 0 else -c
         if not mono:
-            body = _coeff_str(mag)
+            body = str(mag)
         elif mag == 1:
             body = mono
         else:
-            body = f"{_coeff_str(mag)}*{mono}"
+            body = f"{str(mag)}*{mono}"
         if not parts:
             parts.append(body if c > 0 else f"-{body}")
         else:

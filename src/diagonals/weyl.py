@@ -242,9 +242,6 @@ class WeylGroup:
             )
         return self._substitution(w)(f)
 
-    def sign(self, w: Matrix) -> int:
-        return self.signs[w]
-
     # -- averages --------------------------------------------------------------
 
     def symmetrize(self, f: Polynomial) -> Polynomial:

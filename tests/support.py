@@ -16,6 +16,7 @@ from diagonals.polyring import (
     RingContextError,
     ZERO,
     default_names,
+    grevlex_key,
     monomials_of_degree,
 )
 
@@ -111,6 +112,37 @@ def from_string(text: str, nvars: int,
     return Polynomial(nvars, terms)
 
 
+def exact_divide_linear(f: Polynomial, ell: Polynomial) -> Polynomial:
+    """f / ell for a degree-one ell by long division in grevlex, the
+    oracle of the divided differences, which dunkl builds by
+    multiplication alone; raise ArithmeticError on a remainder."""
+    if ell.nvars != f.nvars:
+        raise RingContextError("divisor lives in a different ring")
+    if ell.total_degree() != 1:
+        raise ArithmeticError("divisor must have total degree exactly 1")
+    lm = ell.leading_monomial()
+    lc = ell.terms[lm]
+    rest = [(m, c) for m, c in ell.terms.items() if m != lm]
+    num = dict(f.terms)
+    quo: dict = {}
+    while num:
+        m = max(num, key=grevlex_key)
+        c = num.pop(m)
+        if any(d > e for d, e in zip(lm, m)):
+            raise ArithmeticError(f"remainder term {m} not divisible")
+        qm = tuple(e - d for e, d in zip(m, lm))
+        qc = c / lc
+        quo[qm] = quo.get(qm, ZERO) + qc
+        for rm, rc in rest:
+            tm = tuple(e + d for e, d in zip(qm, rm))
+            s = num.get(tm, ZERO) - qc * rc
+            if s:
+                num[tm] = s
+            else:
+                num.pop(tm, None)
+    return Polynomial(f.nvars, quo)
+
+
 def block_diag(a, b) -> tuple:
     """The block-diagonal matrix with blocks a and b."""
     na, nb = len(a), len(b)
@@ -192,7 +224,7 @@ def span_membership(f: Polynomial, gens: list[Polynomial]) -> bool:
                     prod = shift * g
                     if prod:
                         ech.add({mono: c for mono, c in prod.terms.items()})
-        if not ech.contains(dict(comp.terms)):
+        if ech.reduce(dict(comp.terms)):
             return False
     return True
 
@@ -220,7 +252,7 @@ def naive_average(W, f: Polynomial, signed: bool) -> Polynomial:
     total = Polynomial.zero(f.nvars)
     for w in W.elements:
         img = W.act(w, f)
-        total = total + (W.sign(w) * img if signed else img)
+        total = total + (W.signs[w] * img if signed else img)
     return total * QQ(1, W.order)
 
 

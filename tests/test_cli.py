@@ -5,7 +5,7 @@ import pytest
 
 from diagonals import cli, dunkl
 from diagonals.groebner import Budget, BudgetExceeded
-from diagonals.polyring import random_polynomial, to_string
+from diagonals.polyring import Polynomial, random_polynomial, to_string
 
 FIXTURE = Path(__file__).parent / "fixtures" / "cells_table_n3.tsv"
 
@@ -111,7 +111,8 @@ class TestVerify:
         # a wrong closed form must reach the target through
         # check_defining_relation, not through a copy held by cli
         monkeypatch.setattr(dunkl, "commutation_rhs",
-                            lambda W, c, v, xi, f: f + 1)
+                            lambda W, c, v, xi, f:
+                            f + Polynomial.constant(f.nvars, 1))
         code, out = run(capsys, ["verify", "dunkl", "--samples", "1"])
         assert code == 1
         assert out.startswith("FAIL dunkl")

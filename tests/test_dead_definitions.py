@@ -45,36 +45,41 @@ def definitions(tree) -> list:
 
 
 def references(tree) -> list:
-    """(name, line) of every name read, attribute, imported name, and part
-    of a string that is a dotted identifier, such as "WeylGroup.act"."""
+    """(name, line, bare) of every name read, attribute, imported name, and
+    part of a string that is a dotted identifier, such as "WeylGroup.act";
+    bare marks a name read."""
     out = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            out.append((node.id, node.lineno))
+            out.append((node.id, node.lineno, True))
         elif isinstance(node, ast.Attribute):
-            out.append((node.attr, node.lineno))
+            out.append((node.attr, node.lineno, False))
         elif isinstance(node, (ast.Import, ast.ImportFrom)):
-            out += [(part, node.lineno)
+            out += [(part, node.lineno, False)
                     for alias in node.names for part in alias.name.split(".")]
         elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
               and DOTTED.fullmatch(node.value)):
-            out += [(part, node.lineno) for part in node.value.split(".")]
+            out += [(part, node.lineno, False)
+                    for part in node.value.split(".")]
     return out
 
 
 def dead_definitions(package: dict, searched: dict) -> list:
     """"module.name" of each definition in package (path -> source) that
     no reference in searched (path -> source) names outside the lines of
-    that definition."""
+    that definition.  A bare name read never reaches a method, so only an
+    attribute, an import or a dotted string references one: a local
+    variable that shares a method's name does not keep it alive."""
     seen: dict = {}
     for path, source in searched.items():
-        for name, line in references(ast.parse(source)):
-            seen.setdefault(name, []).append((path, line))
+        for name, line, bare in references(ast.parse(source)):
+            seen.setdefault(name, []).append((path, line, bare))
     dead = []
     for path, source in package.items():
         for qual, name, first, last in definitions(ast.parse(source)):
-            if all(p == path and first <= line <= last
-                   for p, line in seen.get(name, ())):
+            method = "." in qual
+            if all((p == path and first <= line <= last) or (method and bare)
+                   for p, line, bare in seen.get(name, ())):
                 dead.append(f"{Path(path).stem}.{qual}")
     return sorted(dead)
 
@@ -91,10 +96,13 @@ def test_checker_flags_an_unreferenced_definition():
               "class C:\n"
               "    def used(self):\n        return 1\n"
               "    def idle(self):\n        return self.idle()\n"
+              "    def hidden(self):\n        return 2\n"
               "    def __repr__(self):\n        return ''\n")
-    user = "from m import C\nC().used()\nTARGET = 'm.g'\n"
+    # a local variable named like a method reads as a bare name only
+    user = ("from m import C\nC().used()\nTARGET = 'm.g'\n"
+            "def h(hidden):\n    return hidden\n")
     assert dead_definitions({"m.py": module}, {"m.py": module, "u.py": user}) \
-        == ["m.C.idle", "m.SPARE", "m.f"]
+        == ["m.C.hidden", "m.C.idle", "m.SPARE", "m.f"]
 
 
 def test_every_definition_is_referenced():

@@ -335,7 +335,7 @@ class TestAlternants:
                 rep, coeff = orbit_projection(W, mono, signed)
                 avg = Polynomial.zero(2 * n)
                 for h in W._monomial:
-                    sign = W.sign(h) if signed else 1
+                    sign = W.signs[h] if signed else 1
                     avg = avg + sign * W.act(h, single)
                 avg = avg * QQ(1, len(W._monomial))
                 assert avg.terms.get(rep, 0) == coeff, (mono, signed)

@@ -5,6 +5,7 @@ from typing import Sequence
 import pytest
 
 from diagonals.dunkl import (
+    _DIVIDED,
     DunklOperator,
     check_commutativity,
     check_defining_relation,
@@ -13,18 +14,17 @@ from diagonals.dunkl import (
     multiplication_commutator,
 )
 from diagonals.polyring import (
-    ExactDivisionError,
     ONE,
     Polynomial,
     QQ,
     ZERO,
     _extend,
-    exact_divide_linear,
+    monomials_of_degree,
     partial_derivative,
     random_polynomial,
 )
 from diagonals.weyl import WeylGroup, root_system
-from support import homogeneous_components, variables
+from support import exact_divide_linear, homogeneous_components, variables
 
 C_SAMPLES = [QQ(0), QQ(1, 2), QQ(1), QQ(3, 7)]
 
@@ -196,38 +196,45 @@ class TestAgainstDirectFormula:
 
 
 class TestDividedDifferences:
-    def test_shared_by_operators_on_one_group(self, monkeypatch):
+    @pytest.mark.parametrize("name", ["A2", "B2", "C3", "G2", "B3", "D4"])
+    def test_leibniz_rule_matches_division(self, name):
+        # every positive root and every x-block monomial of degree <= 5:
+        # alpha(x) Delta(m) = m - s m by multiplication alone, and Delta(m)
+        # is the quotient that long division finds
+        W = group(name)
+        n = W.ambient
+        for k, prim in enumerate(W.root_system.pair_forms()):
+            alpha = Polynomial.linear_form(2 * n, prim)
+            for d in range(6):
+                for mx in monomials_of_degree(n, d):
+                    m = mx + (0,) * n
+                    f = Polynomial(2 * n, {m: ONE})
+                    diff = f - W.act(W.reflections[k], f)
+                    got = Polynomial(2 * n, divided_difference(W, k, m))
+                    assert alpha * got == diff, (k, m)
+                    assert got == exact_divide_linear(diff, alpha), (k, m)
+
+    def test_shared_by_operators_on_one_group(self):
         W = group("G2")
         rng = random.Random(608)
         f = _extend(random_polynomial(rng, 3, 5, 6), 3)
         # (3, 1, 0) pairs to nonzero with every positive root of G2
         first = DunklOperator(W, QQ(1, 2), (3, 1, 0))(f)
         assert first == direct_dunkl(W, QQ(1, 2), (3, 1, 0), f)
-        expect = direct_dunkl(W, QQ(-2), (2, 1, 1), f)
-
-        def no_action(w, g):
-            raise AssertionError("divided difference computed again")
-
+        filled = dict(_DIVIDED[W])
         # another direction and parameter reuse the group's memo
-        monkeypatch.setattr(W, "act", no_action)
-        assert DunklOperator(W, QQ(-2), (2, 1, 1))(f) == expect
+        second = DunklOperator(W, QQ(-2), (2, 1, 1))(f)
+        assert second == direct_dunkl(W, QQ(-2), (2, 1, 1), f)
+        assert _DIVIDED[W] == filled
 
-    def test_inexact_quotient_raises_and_is_not_memoised(self, monkeypatch):
+    def test_y_block_raises_and_is_not_memoised(self):
         W = group("B2")
-        y1 = (0, 0, 1, 0)
-        with pytest.raises(ExactDivisionError):
-            divided_difference(W, 0, y1)
-        acts = []
-
-        def recording_act(w, g, act=W.act):
-            acts.append(w)
-            return act(w, g)
-
-        # a second call must act again rather than find a stored quotient
-        monkeypatch.setattr(W, "act", recording_act)
-        with pytest.raises(ExactDivisionError):
-            divided_difference(W, 0, y1)
-        assert len(acts) == 1
+        # y1, then x1 y2^2: a second call must raise again rather than
+        # find a stored map
+        for m in [(0, 0, 1, 0), (0, 0, 1, 0), (1, 0, 0, 2)]:
+            with pytest.raises(ValueError):
+                divided_difference(W, 0, m)
+            assert _DIVIDED[W] == {}
 
 
 # ---------------------------------------------------------------------------

@@ -52,8 +52,8 @@ class TestRowEchelon:
         ech = RowEchelon()
         ech.add({0: QQ(1), 2: QQ(1)})
         ech.add({1: QQ(1)})
-        assert ech.contains({0: QQ(3), 1: QQ(-1), 2: QQ(3)})
-        assert not ech.contains({2: QQ(1)})
+        assert not ech.reduce({0: QQ(3), 1: QQ(-1), 2: QQ(3)})
+        assert ech.reduce({2: QQ(1)})
 
     def test_tuple_keys(self):
         # column labels may be arbitrary comparable hashables

@@ -107,10 +107,10 @@ def test_coroots_pair_to_two():
 def test_signs_are_characters():
     W = WeylGroup(root_system("B2"))
     for w in W.elements:
-        assert W.sign(w) in (-1, 1)
+        assert W.signs[w] in (-1, 1)
     for u in W.elements:
         for w in W.elements:
-            assert W.sign(mat_mul(u, w)) == W.sign(u) * W.sign(w)
+            assert W.signs[mat_mul(u, w)] == W.signs[u] * W.signs[w]
 
 
 @pytest.mark.parametrize("name", ["A1", "A2", "A3", "B2", "B3", "C3", "D4",
@@ -129,7 +129,7 @@ def test_elements_are_orthogonal_and_act_by_their_transposes(name):
     for w in W.elements:
         assert mat_mul(w, transpose(w)) == identity(n)
         M = sympy_matrix(sympy, w)
-        assert W.sign(w) == M.det()
+        assert W.signs[w] == M.det()
         X = M.inv() * sympy.Matrix(xs)
         Y = M.T * sympy.Matrix(ys)
         image = F.subs(list(zip(xs + ys, list(X) + list(Y))),
