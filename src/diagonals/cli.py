@@ -11,11 +11,13 @@ the degree bound is too small to decide it (and nothing failed or
 aborted), 64 usage error.  A verify or report run reads its budget
 (DIAGONALS_MAX_SECONDS, DIAGONALS_MAX_BASIS) once, so the time limit
 bounds the whole run, not each target; the cells target checks it once
-per partition, and cells table reads no budget.
+per partition, and cells table reads no budget.  The targets of a run
+also share each type's Weyl group, I and J, each built once (_Store).
 
 Output is deterministic for a fixed seed and fixed bounds; wall-clock
 timings are only included when --timings is passed so that repeated runs
-stay byte-identical.
+stay byte-identical.  A target's timing leaves out what an earlier target
+of the run built.
 """
 
 from __future__ import annotations
@@ -59,6 +61,7 @@ from .dunkl import (
 from .groebner import (
     Budget,
     BudgetExceeded,
+    Ideal,
     degree_counts,
     ideal_equal,
     ideal_power,
@@ -100,11 +103,32 @@ def _same_piece(J, I, d: int) -> bool:
     return J.graded_dim(d) == I.graded_dim(d)
 
 
-def _build_both(name: str, bound: int, budget: Budget):
-    rs = root_system(name)
-    W = WeylGroup(rs)
-    I = ideal_I(rs, budget=budget)
-    return W, I, ideal_J(W, I, bound)
+class _Store:
+    """The constructions that the targets of one run share: the Weyl group
+    and I of each type, and J of each type and degree bound.  Each is built
+    when a target first asks for it, by the library, with I on the run's
+    budget, and kept for the rest of the run.  A build that raises keeps
+    nothing, so the next target that asks builds it again."""
+
+    def __init__(self, budget: Budget):
+        self.budget = budget
+        self._made: dict = {}
+
+    def _get(self, key: tuple, build):
+        if key not in self._made:
+            self._made[key] = build()
+        return self._made[key]
+
+    def group(self, name: str) -> WeylGroup:
+        return self._get(("W", name), lambda: WeylGroup(root_system(name)))
+
+    def I(self, name: str) -> Ideal:
+        return self._get(("I", name), lambda: ideal_I(root_system(name),
+                                                      budget=self.budget))
+
+    def J(self, name: str, bound: int) -> Ideal:
+        return self._get(("J", name, bound), lambda: ideal_J(
+            self.group(name), self.I(name), bound))
 
 
 # ---------------------------------------------------------------------------
@@ -113,8 +137,8 @@ def _build_both(name: str, bound: int, budget: Budget):
 
 
 def _t_g2_ideal_equality(opts: dict) -> dict:
-    bound = opts["bound"]
-    _, I, J = _build_both("G2", bound, opts["budget"])
+    bound, store = opts["bound"], opts["store"]
+    I, J = store.I("G2"), store.J("G2", bound)
     cmp = compare(J, I, bound)
     return _flag_inconclusive({
         "ok": cmp.relation == "equal",
@@ -127,8 +151,8 @@ def _t_g2_ideal_equality(opts: dict) -> dict:
 
 
 def _t_b3_strict_inclusion(opts: dict) -> dict:
-    bound = opts["bound"]
-    _, I, J = _build_both("B3", bound, opts["budget"])
+    bound, store = opts["bound"], opts["store"]
+    I, J = store.I("B3"), store.J("B3", bound)
     cmp = compare(J, I, bound)
     counts_i = minimal_generator_counts(I, bound)
     counts_j = degree_counts(J.gens, bound)
@@ -154,8 +178,8 @@ def _t_b3_strict_inclusion(opts: dict) -> dict:
 
 
 def _t_b3_invariant_images(opts: dict) -> dict:
-    bound = opts["bound"]
-    W, I, J = _build_both("B3", bound, opts["budget"])
+    bound, store = opts["bound"], opts["store"]
+    W, I, J = store.group("B3"), store.I("B3"), store.J("B3", bound)
     dims_i = [invariant_image_dim(W, I, d) for d in range(bound + 1)]
     dims_j = [dim if _same_piece(J, I, d) else invariant_image_dim(W, J, d)
               for d, dim in enumerate(dims_i)]
@@ -169,12 +193,12 @@ def _t_b3_invariant_images(opts: dict) -> dict:
 
 
 def _t_type_a(opts: dict) -> dict:
-    budget = opts["budget"]
+    budget, store = opts["budget"], opts["store"]
     details: dict = {}
     ok = True
     # fixed bounds, independent of --degree-bound
     for name, bound, powers in (("A1", 6, (1, 2, 3)), ("A2", 8, (2,))):
-        W, I, J = _build_both(name, bound, budget)
+        W, I, J = store.group(name), store.I(name), store.J(name, bound)
         cmp = compare(J, I, bound)
         entry = {"comparison": cmp.to_json(), "powerChecks": {}}
         ok &= cmp.relation == "equal"
@@ -191,10 +215,8 @@ def _t_symbolic_vs_ordinary(opts: dict) -> dict:
     budget = opts["budget"]
     details: dict = {}
     for name in ("B2", "G2"):
-        rs = root_system(name)
-        I = ideal_I(rs, budget=budget)
-        P = ideal_power(I, 2)
-        S = symbolic_power(rs, 2, budget=budget)
+        P = ideal_power(opts["store"].I(name), 2)
+        S = symbolic_power(root_system(name), 2, budget=budget)
         details[name] = {"ordinaryEqualsSymbolic": ideal_equal(P, S)}
     # the run itself is the check; the equalities are reported as findings
     return {"ok": True, "details": details}
@@ -206,7 +228,7 @@ def _t_dunkl(opts: dict) -> dict:
     ok = True
     cells = []
     for name in ("A2", "B2", "G2"):
-        W = WeylGroup(root_system(name))
+        W = opts["store"].group(name)
         n = W.ambient
         axes = [tuple(int(i == j) for j in range(n)) for i in range(n)]
         for c in opts["c_values"]:
@@ -260,11 +282,11 @@ def _t_cells(opts: dict) -> dict:
 
 def _t_delta_identity(opts: dict) -> dict:
     bound, seed = opts["bound"], opts["seed"]
-    budget = opts["budget"]
+    budget, store = opts["budget"], opts["store"]
     ok = decided = True
     details: dict = {}
     for name in ("B2", "G2"):
-        W, I, J = _build_both(name, bound, budget)
+        W, I, J = store.group(name), store.I(name), store.J(name, bound)
         rs = W.root_system
         delta = discriminant(rs)
         deg = delta.total_degree()
@@ -397,7 +419,9 @@ def build_parser() -> _Parser:
 
 
 def _opts_from_args(args) -> dict:
-    """Target options, with the budget that every target of a run shares."""
+    """Target options, with the budget and the store of constructions that
+    every target of a run shares."""
+    budget = Budget.from_env()
     return {
         "bound": args.degree_bound,
         "seed": args.seed,
@@ -405,7 +429,8 @@ def _opts_from_args(args) -> dict:
         "n": args.n,
         "c_values": args.c if args.c is not None else _parse_c_list(DEFAULT_C),
         "timings": args.timings,
-        "budget": Budget.from_env(),
+        "budget": budget,
+        "store": _Store(budget),
     }
 
 

@@ -8,6 +8,7 @@ from diagonals.groebner import Budget, BudgetExceeded
 from diagonals.polyring import Polynomial, random_polynomial, to_string
 
 FIXTURE = Path(__file__).parent / "fixtures" / "cells_table_n3.tsv"
+REPORT = Path(__file__).parent / "fixtures" / "verification_report.json"
 
 
 def run(capsys, argv):
@@ -229,9 +230,11 @@ class TestExitCodes:
             def check(self, layer, basis_size=None):
                 layers.append(layer)
 
+        budget = Recorder()
         result = cli.run_target("dunkl", {"seed": 0, "samples": 2,
                                           "c_values": [0, 1],
-                                          "budget": Recorder()})
+                                          "budget": budget,
+                                          "store": cli._Store(budget)})
         assert result["ok"]
         # 3 types x 2 parameters, each a cell check plus one per sample
         assert layers == ["dunkl samples"] * (3 * 2 * (1 + 2))
@@ -357,3 +360,66 @@ class TestExitCodes:
             ["report", "--degree-bound", bound, "--seed", "3",
              "--samples", samples])
         assert (args.degree_bound, args.samples) == (int(bound), int(samples))
+
+
+def _counting(monkeypatch, name, key):
+    """Replace cli.<name> by a wrapper that counts its calls by key(args)
+    and keeps each result; returns (counts, results)."""
+    counts, results = {}, []
+    original = getattr(cli, name)
+
+    def counted(*args, **kwargs):
+        k = key(*args)
+        counts[k] = counts.get(k, 0) + 1
+        results.append(original(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(cli, name, counted)
+    return counts, results
+
+
+class TestStore:
+    """One run builds each type's group, I and J once and shares them."""
+
+    def test_report_builds_each_ideal_once(self, capsys, monkeypatch):
+        groups, _ = _counting(monkeypatch, "WeylGroup", lambda rs: rs.name)
+        built_i, _ = _counting(monkeypatch, "ideal_I", lambda rs: rs.name)
+        built_j, _ = _counting(monkeypatch, "ideal_J",
+                               lambda W, I, bound: (W.root_system.name, bound))
+        code, out = run(capsys, ["report", "--format", "json"])
+        assert code == 0
+        assert out == REPORT.read_text()
+        assert groups == dict.fromkeys(["A1", "A2", "B2", "B3", "G2"], 1)
+        assert built_i == dict.fromkeys(["A1", "A2", "B2", "B3", "G2"], 1)
+        assert built_j == {("A1", 6): 1, ("A2", 8): 1, ("B2", 10): 1,
+                           ("B3", 10): 1, ("G2", 10): 1}
+
+    def test_two_runs_share_nothing(self, capsys, monkeypatch):
+        built_i, made = _counting(monkeypatch, "ideal_I", lambda rs: rs.name)
+        argv = ["verify", "g2-ideal-equality", "--degree-bound", "6"]
+        assert [run(capsys, argv)[0] for _ in range(2)] == [0, 0]
+        assert built_i == {"G2": 2}
+        assert made[0] is not made[1]
+        assert made[0].budget is not made[1].budget
+
+    @pytest.mark.parametrize("name, kept", [
+        ("ideal_I", {("W", "B3")}),
+        ("ideal_J", {("W", "B3"), ("I", "B3")}),
+    ])
+    def test_aborted_build_is_not_kept(self, monkeypatch, name, kept):
+        # every build raises with its own count, so an abort that reached
+        # the second target from the store would carry the first reason
+        reasons = iter(f"time limit in build {k}" for k in range(1, 9))
+
+        def spent(*args, **kwargs):
+            raise BudgetExceeded(next(reasons), 1.0)
+
+        monkeypatch.setattr(cli, name, spent)
+        opts = cli._opts_from_args(cli.build_parser().parse_args(["report"]))
+        results = [cli.run_target(target, opts) for target in
+                   ("b3-invariant-images", "b3-strict-inclusion")]
+        assert [r["aborted"] for r in results] == ["budget"] * 2
+        assert [r["details"] for r in results] == [
+            {"reason": "time limit in build 1"},
+            {"reason": "time limit in build 2"}]
+        assert set(opts["store"]._made) == kept
