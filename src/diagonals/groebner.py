@@ -51,18 +51,23 @@ all that basis insertion and membership need.  Powers and intersections
 pass gpolys from ideal to ideal, so rationals appear only where an Ideal
 encodes a Polynomial or builds one for a reader.
 
-Pair management follows the classic update procedure with the product and
-chain criteria.  Selection is the sugar strategy of Giovini, Mora, Niesi,
-Robbiano and Traverso ("One sugar cube, please", ISSAC 1991): every basis
-element carries a sugar, the total degree of its input generator or the
-sugar of the pair whose S-polynomial produced it, and pairs are taken by
-smallest sugar, then smallest lcm, then index.  The sugar is the degree a
-pair would have if the input were homogenized, so under the block order of
-ideal_intersect, whose keys put the t-degree first, pairs still come in
-order of total degree; on homogeneous grevlex input it is the lcm degree
-and the order is the normal strategy's (smallest lcm first).  All choices
-are deterministic, so a basis is a pure function of the generators and
-nothing else.
+Pair management is the update of Gebauer and Möller ("On an installation of
+Buchberger's algorithm", J. Symbolic Comput. 6, 1988) with the product and
+chain criteria.  A new element t forms each lcm(lead_i, lead_t) once, and
+the new pairs are sorted by the key of their lcm; of a run of pairs with
+one lcm only the last is kept.  Both keys are injective, so equal lcms have
+equal keys and such a run is adjacent in the sorted list: a pair is the
+last of its run exactly when the next pair's key differs.  Selection is the
+sugar strategy of Giovini, Mora, Niesi, Robbiano and Traverso ("One sugar
+cube, please", ISSAC 1991): every basis element carries a sugar, the total
+degree of its input generator or the sugar of the pair whose S-polynomial
+produced it, and pairs are taken by smallest sugar, then smallest lcm, then
+index.  The sugar is the degree a pair would have if the input were
+homogenized, so under the block order of ideal_intersect, whose keys put
+the t-degree first, pairs still come in order of total degree; on
+homogeneous grevlex input it is the lcm degree and the order is the normal
+strategy's (smallest lcm first).  All choices are deterministic, so a basis
+is a pure function of the generators and nothing else.
 """
 
 from __future__ import annotations
@@ -383,48 +388,35 @@ class _Basis:
         return True
 
     def _update_pairs(self, t: int) -> None:
-        """Register pairs (i, t), pruned by the product and chain criteria.
+        """Register pairs (i, t) by the update of Gebauer and Möller.
 
-        A kept pair enters the heap as (sugar, lcm key, i, t), where its
-        sugar is the larger of sugar_i + deg(lcm) - deg(lead_i) over both
-        elements.
+        with_t[i] is lcm(lead_i, lead_t).  A live pair (i, j) is dropped
+        when lead_t divides its lcm and both with_t[i] and with_t[j]
+        differ from it (chain criterion).  Ascending by lcm, a new pair is
+        dropped when the lcm of a kept one divides its own or the next one
+        has its lcm; a coprime pair is kept as such a divisor but never
+        reduced (product criterion).  Every other kept pair enters the heap
+        as (sugar, lcm key, i, t), where its sugar is the larger of
+        sugar_i + deg(lcm) - deg(lead_i) over both elements.
         """
-        leads, keyf, lcm_of = self.leads, self.keyf, self.lcm_of
+        leads, lcm_of = self.leads, self.lcm_of
         lt = leads[t]
-        cand = []
-        for i in range(t):
-            l = tuple(map(max, leads[i], lt))
-            cand.append((keyf(l), i, l))
-        cand.sort()
-        kept: list = []
-        for pos, (lk, i, l) in enumerate(cand):
-            if _coprime(leads[i], leads[t]):
-                kept.append((i, l, lk, True))
-                continue
-            drop = False
-            for _, lj, _, _ in kept:
-                if _divides(lj, l):
-                    drop = True
-                    break
-            if not drop:
-                for lk2, _, l2 in cand[pos + 1:]:
-                    if l2 == l:
-                        drop = True
-                        break
-            if not drop:
-                kept.append((i, l, lk, False))
-        # chain criterion against existing pairs
+        with_t = [tuple(map(max, lead, lt)) for lead in leads[:t]]
+        cand = sorted((self.keyf(l), i, l) for i, l in enumerate(with_t))
         for (i, j), l in list(lcm_of.items()):
-            if (_divides(lt, l) and tuple(map(max, leads[i], lt)) != l
-                    and tuple(map(max, leads[j], lt)) != l):
+            if _divides(lt, l) and with_t[i] != l and with_t[j] != l:
                 del lcm_of[(i, j)]
         sugar_t = self.sugars[t] - sum(lt)
-        for i, l, lk, coprime in kept:
-            if coprime:
-                continue
-            lcm_of[(i, t)] = l
-            sugar = sum(l) + max(self.sugars[i] - sum(leads[i]), sugar_t)
-            heapq.heappush(self.heap, (sugar, lk, i, t))
+        kept: list = []
+        for pos, (lk, i, l) in enumerate(cand):
+            if _coprime(leads[i], lt):
+                kept.append(l)
+            elif not (any(_divides(lj, l) for lj in kept)
+                      or pos + 1 < len(cand) and cand[pos + 1][0] == lk):
+                kept.append(l)
+                lcm_of[(i, t)] = l
+                sugar = sum(l) + max(self.sugars[i] - sum(leads[i]), sugar_t)
+                heapq.heappush(self.heap, (sugar, lk, i, t))
 
     def run(self, max_sugar: float = math.inf) -> None:
         """Reduce the S-polynomials of the pairs, smallest sugar first,
@@ -448,8 +440,9 @@ class _Basis:
                 self.add(s, sugar)
 
     def reduced(self, below: int | None = None) -> list:
-        """Reduced basis as primitive gpolys sorted ascending by lead key,
-        of the elements whose lead key is below `below` when it is given.
+        """Complete the basis, then return it reduced, as primitive gpolys
+        sorted ascending by lead key, of the elements whose lead key is
+        below `below` when it is given.
 
         A divisor of a monomial is no larger than it, so in ascending order
         an element is dropped when an earlier kept lead divides its lead and
@@ -459,6 +452,7 @@ class _Basis:
         _elimination_key, with t's key as the bound, make the reduced basis
         of the t-free part (Cox, Little and O'Shea, ch. 3 §1).
         """
+        self.run()
         polys = sorted((g for g in self.polys
                         if below is None or g[0][0] < below),
                        key=lambda g: g[0][0])
@@ -615,7 +609,6 @@ class Ideal:
             for g in sorted(self._gens_g, key=lambda p: (p[0][0], p)):
                 basis.add(g, max(sum(_unpack(m, self.nvars))
                                  for _, m, _ in g))
-            basis.run()
             self._gb = basis.reduced(1 << (self.nvars - 1) * _WIDTH
                                      if self._key is _elimination_key
                                      else None)
@@ -762,7 +755,6 @@ def minimal_generators(candidates, full: Ideal, max_degree: int) -> Ideal:
     per degree, and the returned ideal keeps it.
     """
     kept, basis = _walk(candidates, full, max_degree)
-    basis.run()
     P = Ideal(kept, nvars=full.nvars, generated_up_to=max_degree,
               budget=full.budget)
     P._gb = basis.reduced()

@@ -101,7 +101,11 @@ class Polynomial:
 
     @classmethod
     def linear_form(cls, nvars: int, coeffs: Sequence) -> "Polynomial":
-        """Sum of coeffs[i] * var_i; coeffs may be shorter than nvars."""
+        """Sum of coeffs[i] * var_i; coeffs may be shorter than nvars, and
+        RingContextError is raised when they are longer."""
+        if len(coeffs) > nvars:
+            raise RingContextError(
+                f"{len(coeffs)} coefficients, ring has {nvars} variables")
         terms = {}
         for i, c in enumerate(coeffs):
             c = QQ(c)

@@ -143,6 +143,66 @@ def exact_divide_linear(f: Polynomial, ell: Polynomial) -> Polynomial:
     return Polynomial(f.nvars, quo)
 
 
+class ReferencePairs:
+    """The pairs of a growing Groebner basis under a plain reading of the
+    update rule: each lcm is formed twice, and a pair finds a later one
+    with its lcm by rescanning every later candidate.  The oracle of
+    groebner._Basis._update_pairs: add(lead, sugar) registers the pairs of
+    a new element, and lcm_of and heap are what the basis should hold."""
+
+    def __init__(self, keyf):
+        self.keyf = keyf
+        self.leads: list = []
+        self.sugars: list = []
+        self.lcm_of: dict = {}
+        self.heap: list = []
+
+    def add(self, lead: tuple, sugar: int) -> None:
+        leads, keyf, lcm_of = self.leads, self.keyf, self.lcm_of
+        leads.append(lead)
+        self.sugars.append(sugar)
+        t = len(leads) - 1
+        lt = leads[t]
+        cand = []
+        for i in range(t):
+            l = tuple(map(max, leads[i], lt))
+            cand.append((keyf(l), i, l))
+        cand.sort()
+        kept: list = []
+        for pos, (lk, i, l) in enumerate(cand):
+            if all(x == 0 or y == 0 for x, y in zip(leads[i], lt)):
+                kept.append((i, l, lk, True))
+                continue
+            drop = False
+            for _, lj, _, _ in kept:
+                if _divides(lj, l):
+                    drop = True
+                    break
+            if not drop:
+                for lk2, _, l2 in cand[pos + 1:]:
+                    if l2 == l:
+                        drop = True
+                        break
+            if not drop:
+                kept.append((i, l, lk, False))
+        # chain criterion against existing pairs
+        for (i, j), l in list(lcm_of.items()):
+            if (_divides(lt, l) and tuple(map(max, leads[i], lt)) != l
+                    and tuple(map(max, leads[j], lt)) != l):
+                del lcm_of[(i, j)]
+        sugar_t = self.sugars[t] - sum(lt)
+        for i, l, lk, coprime in kept:
+            if coprime:
+                continue
+            lcm_of[(i, t)] = l
+            sugar = sum(l) + max(self.sugars[i] - sum(leads[i]), sugar_t)
+            self.heap.append((sugar, lk, i, t))
+
+
+def _divides(a: tuple, b: tuple) -> bool:
+    return all(x <= y for x, y in zip(a, b))
+
+
 def block_diag(a, b) -> tuple:
     """The block-diagonal matrix with blocks a and b."""
     na, nb = len(a), len(b)

@@ -44,22 +44,46 @@ def definitions(tree) -> list:
     return found
 
 
+def _self_owners(tree) -> dict:
+    """id -> class name of each attribute read through the first parameter
+    of a method of that class, such as self.add or cls.build; a static
+    method's first parameter is no instance of its class."""
+    owners = {}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for item in node.body:
+            if not isinstance(item, ast.FunctionDef) or any(
+                    isinstance(d, ast.Name) and d.id == "staticmethod"
+                    for d in item.decorator_list):
+                continue
+            params = item.args.posonlyargs + item.args.args
+            for sub in ast.walk(item):
+                if (params and isinstance(sub, ast.Attribute)
+                        and isinstance(sub.value, ast.Name)
+                        and sub.value.id == params[0].arg):
+                    owners[id(sub)] = node.name
+    return owners
+
+
 def references(tree) -> list:
-    """(name, line, bare) of every name read, attribute, imported name, and
-    part of a string that is a dotted identifier, such as "WeylGroup.act";
-    bare marks a name read."""
+    """(name, line, bare, owner) of every name read, attribute, imported
+    name, and part of a string that is a dotted identifier, such as
+    "WeylGroup.act"; bare marks a name read, and owner is the class C of
+    an attribute read through self inside C, None for any other."""
+    owners = _self_owners(tree)
     out = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            out.append((node.id, node.lineno, True))
+            out.append((node.id, node.lineno, True, None))
         elif isinstance(node, ast.Attribute):
-            out.append((node.attr, node.lineno, False))
+            out.append((node.attr, node.lineno, False, owners.get(id(node))))
         elif isinstance(node, (ast.Import, ast.ImportFrom)):
-            out += [(part, node.lineno, False)
+            out += [(part, node.lineno, False, None)
                     for alias in node.names for part in alias.name.split(".")]
         elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
               and DOTTED.fullmatch(node.value)):
-            out += [(part, node.lineno, False)
+            out += [(part, node.lineno, False, None)
                     for part in node.value.split(".")]
     return out
 
@@ -69,17 +93,23 @@ def dead_definitions(package: dict, searched: dict) -> list:
     no reference in searched (path -> source) names outside the lines of
     that definition.  A bare name read never reaches a method, so only an
     attribute, an import or a dotted string references one: a local
-    variable that shares a method's name does not keep it alive."""
+    variable that shares a method's name does not keep it alive.  An
+    attribute read through self inside class C reaches C's definition of
+    that name alone, so a method is not kept alive by another class's
+    self-call of a method with its name."""
     seen: dict = {}
     for path, source in searched.items():
-        for name, line, bare in references(ast.parse(source)):
-            seen.setdefault(name, []).append((path, line, bare))
+        for name, line, bare, owner in references(ast.parse(source)):
+            seen.setdefault(name, []).append(
+                (path, line, bare, owner and (path, owner)))
     dead = []
     for path, source in package.items():
         for qual, name, first, last in definitions(ast.parse(source)):
             method = "." in qual
+            home = (path, qual.rpartition(".")[0])
             if all((p == path and first <= line <= last) or (method and bare)
-                   for p, line, bare in seen.get(name, ())):
+                   or owner not in (None, home)
+                   for p, line, bare, owner in seen.get(name, ())):
                 dead.append(f"{Path(path).stem}.{qual}")
     return sorted(dead)
 
@@ -97,12 +127,19 @@ def test_checker_flags_an_unreferenced_definition():
               "    def used(self):\n        return 1\n"
               "    def idle(self):\n        return self.idle()\n"
               "    def hidden(self):\n        return 2\n"
-              "    def __repr__(self):\n        return ''\n")
+              "    def __repr__(self):\n        return ''\n"
+              # only A.add is reached, and only through self.add
+              "class A:\n"
+              "    def add(self):\n        return 1\n"
+              "    def run(self):\n        return self.add()\n"
+              "class B:\n"
+              "    def add(self):\n        return 2\n")
     # a local variable named like a method reads as a bare name only
-    user = ("from m import C\nC().used()\nTARGET = 'm.g'\n"
+    user = ("from m import A, B, C\nC().used()\nA().run()\nB()\n"
+            "TARGET = 'm.g'\n"
             "def h(hidden):\n    return hidden\n")
     assert dead_definitions({"m.py": module}, {"m.py": module, "u.py": user}) \
-        == ["m.C.hidden", "m.C.idle", "m.SPARE", "m.f"]
+        == ["m.B.add", "m.C.hidden", "m.C.idle", "m.SPARE", "m.f"]
 
 
 def test_every_definition_is_referenced():

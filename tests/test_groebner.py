@@ -36,6 +36,7 @@ from diagonals.polyring import (
 from diagonals.weyl import root_system
 
 from support import (
+    ReferencePairs,
     from_string,
     homogeneous_polynomials,
     product_ideal,
@@ -85,6 +86,16 @@ class TestBuchbergerBasics:
             rng.shuffle(shuffled)
             assert Ideal(shuffled).groebner_basis() == ref
 
+    def test_reduced_completes_the_basis(self):
+        x, y, z = variables(3)
+        gens = [x**2 + y * z, y**3 - z**3, x * y * z - z**3]
+        basis = groebner._Basis(groebner._grevlex_key, 3, Budget())
+        for f in gens:
+            basis.add(groebner._to_g(f.terms), f.total_degree())
+        assert basis.lcm_of
+        assert basis.reduced() == Ideal(gens)._core()
+        assert not basis.lcm_of
+
     def test_zero_and_constant(self):
         x, y = variables(2)
         assert Ideal([Polynomial.zero(2)], nvars=2).groebner_basis() == ()
@@ -98,6 +109,27 @@ def _remainder(I, f):
     r = groebner._g_nf(groebner._to_g(f.terms), I._core(), I.nvars,
                        I.budget)
     return groebner._g_to_poly(r, f.nvars) if r else Polynomial.zero(f.nvars)
+
+
+class TestPairUpdate:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_pairs_match_the_reference_rule(self, data):
+        # monomials make leads that tie, divide and chain in few variables;
+        # no pair is reduced, so every pair made stays for the next update
+        nvars = data.draw(st.integers(2, 4))
+        keyf = data.draw(st.sampled_from([groebner._grevlex_key,
+                                          groebner._elimination_key]))
+        basis = groebner._Basis(keyf, nvars, Budget())
+        ref = ReferencePairs(keyf)
+        monos = st.tuples(*[st.integers(0, 3)] * nvars)
+        for m in data.draw(st.lists(monos, min_size=1, max_size=12)):
+            sugar = sum(m) + data.draw(st.integers(0, 2))
+            if basis.add([(keyf(m), groebner._pack(m), 1)], sugar):
+                ref.add(m, sugar)
+            assert basis.leads == ref.leads
+            assert basis.lcm_of == ref.lcm_of
+            assert sorted(basis.heap) == sorted(ref.heap)
 
 
 class TestNormalForm:
@@ -866,7 +898,6 @@ def _full_elimination_t_free(A, B):
     for f in gens:
         basis.add(groebner._to_g(f.terms, groebner._elimination_key),
                   f.total_degree())
-    basis.run()
     return [g for g in basis.reduced() if not g[0][0] >> n * groebner._WIDTH]
 
 

@@ -58,6 +58,13 @@ class TestArithmetic:
         with pytest.raises(RingContextError):
             x1 + variables(2)[0]
 
+    def test_linear_form(self):
+        assert Polynomial.linear_form(4, [1, 0, -2]) == x1 - 2 * y1
+        assert Polynomial.linear_form(4, [0, 1, 0, 3]) == x2 + 3 * y2
+        # a coefficient past the last variable must not become a constant
+        with pytest.raises(RingContextError):
+            Polynomial.linear_form(2, [1, 2, 3])
+
     def test_pow(self):
         f = x1 + y1
         assert f**0 == Polynomial.constant(4, 1)
