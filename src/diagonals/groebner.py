@@ -15,8 +15,8 @@ monomial is two int additions.  t is the top field and the top digit, so a
 t-free gpoly of the extended ring is, int for int, the grevlex gpoly of
 the ring without t.  An Ideal keeps its generators and its basis as
 gpolys, so tuples appear only where it encodes a Polynomial or builds one
-for a reader, in the pair lcms and criteria, in the Hilbert numerator and
-in the normal-form tables.
+for a reader (the normal-form tables among them), in the pair lcms and
+criteria and in the Hilbert numerator.
 
 Divisibility.  With G the int of every guard bit, a divides b exactly when
 ((b + G) - a) & G == G (Bachmann and Schönemann, "Monomial representations
@@ -87,10 +87,9 @@ from .polyring import (
     Polynomial,
     QQ,
     RingContextError,
-    ZERO,
     _divides,
+    _raw,
     count_monomials,
-    grevlex_key,
     monomials_of_degree,
 )
 
@@ -785,38 +784,61 @@ def nf_monomial_table(I: Ideal, d: int) -> dict:
 
     Dynamic programming over the order: reducing a monomial rewrites it as
     a combination of strictly smaller monomials of the same degree, so one
-    ascending pass fills the table.  Returns mono -> {standard mono: QQ}.
-    I's budget is checked every 256 monomials.
+    ascending pass fills the table.  The pass runs on packed monomials: the
+    reducer is the first basis element whose lead divides the monomial by
+    the guard-bit test, and a shift is an int addition.  A normal form
+    stays fraction-free, as (den, {packed: int}), divided by its content
+    only when den != 1.  Returns mono -> {standard mono: QQ}, with one QQ
+    per distinct value.  I's budget is checked every 256 monomials.
     """
-    entries = []
-    for g in I._core():
-        terms = [(_unpack(m, I.nvars), c) for _, m, c in g]
-        if len({sum(m) for m, _ in terms}) != 1:
-            raise ValueError("normal-form tables need a homogeneous ideal")
-        (lead, lc), *tail = terms
-        entries.append((lead, [(m, QQ(-c, lc)) for m, c in tail]))
-    table: dict = {}
-    for i, m in enumerate(sorted(monomials_of_degree(I.nvars, d),
-                                   key=grevlex_key), 1):
+    n = I.nvars
+    basis = I._core()
+    top = (n - 1) * _WIDTH  # a grevlex key's top digit is the degree
+    if any(g[0][0] >> top != g[-1][0] >> top for g in basis):
+        raise ValueError("normal-form tables need a homogeneous ideal")
+    guard = _guard(n)
+    leads = [g[0][1] for g in basis]
+    order = sorted((_grevlex_key(m), _pack(m), m)
+                   for m in monomials_of_degree(n, d))
+    work, std = {}, {}  # std: the standard monomials, packed -> tuple
+    for i, (_, m, mono) in enumerate(order, 1):
         if not i % 256:
             I.budget.check("normal-form tables")
-        for lead, tail in entries:
-            if _divides(lead, m):
+        mg = m + guard
+        for lead, red in zip(leads, basis):
+            if (mg - lead) & guard == guard:
                 break
         else:
-            table[m] = {m: ONE}
+            work[m] = (1, {m: 1})
+            std[m] = mono
             continue
-        u = tuple(a - b for a, b in zip(m, lead))
-        acc: dict = {}
-        for tm, tc in tail:
-            shifted = tuple(a + b for a, b in zip(tm, u))
-            for sm, sc in table[shifted].items():
-                s = acc.get(sm, ZERO) + tc * sc
-                if s:
-                    acc[sm] = s
+        u = m - lead
+        den, acc = 1, {}
+        for _, tm, tc in itertools.islice(red, 1, None):
+            tden, tnf = work[tm + u]
+            lcm = math.lcm(den, tden)
+            if lcm != den:
+                for s in acc:
+                    acc[s] *= lcm // den
+                den = lcm
+            b = -tc * (den // tden)
+            for s, c in tnf.items():
+                v = acc.get(s, 0) + b * c
+                if v:
+                    acc[s] = v
                 else:
-                    del acc[sm]
-        table[m] = acc
+                    del acc[s]
+        den *= red[0][2]
+        if den != 1:
+            q = math.gcd(den, *acc.values())
+            den //= q
+            acc = {s: c // q for s, c in acc.items()}
+        work[m] = (den, acc)
+    qq = functools.lru_cache(maxsize=None)(QQ)  # one QQ per distinct value
+    table = {}
+    for _, m, mono in order:
+        den, nf = work.pop(m)
+        table[mono] = {std[s]: qq(c, den) for s, c in nf.items()}
     return table
 
 
@@ -830,5 +852,5 @@ def graded_basis(I: Ideal, d: int) -> list:
         if w not in nf:
             row = {m: -c for m, c in nf.items()}
             row[w] = ONE
-            out.append(Polynomial(I.nvars, row))
+            out.append(_raw(I.nvars, row))
     return out

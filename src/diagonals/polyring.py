@@ -18,11 +18,11 @@ block order that eliminates the auxiliary variable of an intersection,
 which groebner.ideal_intersect keeps to itself.
 
 Linear substitutions carry the group action.  One n x n matrix acts on
-both halves of the doubled ring, so a non-monomial matrix is scaled to
-integers by the lcm of its denominators and the integer image of every
-monomial in n variables is memoised once, for the x- and the y-half
-alike.  Substituting into f multiplies memoised images with Python ints
-and builds one rational per output term.
+both halves of the doubled ring.  A matrix with one nonzero per row, in
+distinct columns, permutes monomials up to scale, so no two terms of f
+meet in the image.  Every other matrix is scaled to integers by the lcm
+of its denominators and the integer image of every monomial in n
+variables is memoised once, for the x- and the y-half alike.
 """
 
 from __future__ import annotations
@@ -250,10 +250,13 @@ class LinearSubstitution:
     """The doubled action of an n x n matrix M on the ring of 2n variables:
     x -> M x and y -> M y, so applying it to f yields (x, y) -> f(Mx, My).
 
-    A matrix with one nonzero per row maps monomials to monomials and takes
-    a direct path.  Any other matrix is scaled to integers by the lcm D of
-    its entry denominators, and one memo holds the image of each monomial m
-    in n variables as an integer map {exponents: c} over D^deg(m), built by
+    A matrix with one nonzero per row, in distinct columns, permutes the
+    variables up to scale, so distinct monomials have distinct images and
+    each term is copied once, with no merging.  Every other matrix, a
+    singular one with one nonzero per row too, takes the dense path, exact
+    for any matrix: it is scaled to integers by the lcm D of its entry
+    denominators, and one memo holds the image of each monomial m in n
+    variables as an integer map {exponents: c} over D^deg(m), built by
     image(m) = image(m / x_i) * image(x_i).  Both halves transform by the
     same matrix, so the memo serves x and y alike, and a term of f maps to
     image(x-part) * image(y-part).  All arithmetic runs on ints and each
@@ -269,7 +272,8 @@ class LinearSubstitution:
             raise ValueError("substitution matrix must be square")
         self.nvars = 2 * n
         nonzero = [[(j, c) for j, c in enumerate(row) if c] for row in rows]
-        self.is_monomial = all(len(nz) == 1 for nz in nonzero)
+        self.is_monomial = (all(len(nz) == 1 for nz in nonzero)
+                            and len({nz[0][0] for nz in nonzero}) == n)
         if self.is_monomial:
             # the one nonzero entry of each row, kept as an int when it is
             # integral; the y-half repeats the x-half n variables on
@@ -291,14 +295,8 @@ class LinearSubstitution:
             terms: dict = {}
             for m, c in f.terms.items():
                 key, scale = image(m)
-                if scale != 1:
-                    c = c * scale
-                s = terms.get(key, ZERO) + c
-                if s:
-                    terms[key] = s
-                else:
-                    del terms[key]
-            return Polynomial(nv, terms)
+                terms[key] = c if scale == 1 else c * scale
+            return _raw(nv, terms)
         if not f.terms:
             return Polynomial.zero(nv)
         # clear denominators once: f = (1/L) sum c_m m with integer c_m
