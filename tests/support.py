@@ -8,7 +8,7 @@ from typing import Sequence
 
 from hypothesis import strategies as st
 
-from diagonals.groebner import Ideal
+from diagonals.groebner import Ideal, _unpack
 from diagonals.polyring import (
     ONE,
     Polynomial,
@@ -197,6 +197,42 @@ class ReferencePairs:
             lcm_of[(i, t)] = l
             sugar = sum(l) + max(self.sugars[i] - sum(leads[i]), sugar_t)
             self.heap.append((sugar, lk, i, t))
+
+
+def reference_nf_table(I: Ideal, d: int) -> dict:
+    """Normal forms of every degree-d monomial against I's reduced basis,
+    on exponent tuples and rationals: the oracle of
+    groebner.nf_monomial_table, which works on packed ints and stays
+    fraction-free.  Each monomial is reduced by the first basis element,
+    in basis order, whose lead divides it, and its tail's normal forms,
+    of smaller monomials, are already in the table."""
+    entries = []
+    for g in I._core():
+        terms = [(_unpack(m, I.nvars), c) for _, m, c in g]
+        if len({sum(m) for m, _ in terms}) != 1:
+            raise ValueError("normal-form tables need a homogeneous ideal")
+        (lead, lc), *tail = terms
+        entries.append((lead, [(m, QQ(-c, lc)) for m, c in tail]))
+    table: dict = {}
+    for m in sorted(monomials_of_degree(I.nvars, d), key=grevlex_key):
+        for lead, tail in entries:
+            if _divides(lead, m):
+                break
+        else:
+            table[m] = {m: ONE}
+            continue
+        u = tuple(a - b for a, b in zip(m, lead))
+        acc: dict = {}
+        for tm, tc in tail:
+            shifted = tuple(a + b for a, b in zip(tm, u))
+            for sm, sc in table[shifted].items():
+                s = acc.get(sm, ZERO) + tc * sc
+                if s:
+                    acc[sm] = s
+                else:
+                    del acc[sm]
+        table[m] = acc
+    return table
 
 
 def _divides(a: tuple, b: tuple) -> bool:

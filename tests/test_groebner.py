@@ -40,6 +40,7 @@ from support import (
     from_string,
     homogeneous_polynomials,
     product_ideal,
+    reference_nf_table,
     span_membership,
     sympy_expr,
     variables,
@@ -634,6 +635,44 @@ class TestGradedData:
         counts = minimal_generator_counts(I, 6)
         for d in range(7):
             assert counts[d] == I.graded_dim(d) - mI.graded_dim(d)
+
+
+class TestNormalFormTables:
+    # nf_monomial_table runs on packed ints and keeps each normal form
+    # fraction-free; support.reference_nf_table is the same pass on tuples
+    # and rationals
+
+    @given(st.data())
+    def test_tables_match_the_reference(self, data):
+        # random rational coefficients make most primitive leads non-monic
+        nvars = data.draw(st.integers(2, 3))
+        gens = [data.draw(homogeneous_polynomials(
+                    nvars, data.draw(st.integers(1, 3)), max_terms=4))
+                for _ in range(data.draw(st.integers(1, 3)))]
+        I = Ideal(gens, nvars=nvars)
+        for d in range(6):
+            assert nf_monomial_table(I, d) == reference_nf_table(I, d), d
+
+    def test_g2_tables_match_the_reference(self):
+        I = diagideals.ideal_I(root_system("G2"))
+        assert any(g[0][2] != 1 for g in I._core())  # leads of coefficient 2
+        for d in range(9):
+            assert nf_monomial_table(I, d) == reference_nf_table(I, d), d
+
+    def test_b3_table_matches_the_reference(self):
+        I = diagideals.ideal_I(root_system("B3"))
+        assert nf_monomial_table(I, 10) == reference_nf_table(I, 10)
+
+    def test_tables_need_a_homogeneous_basis(self):
+        x, y = variables(2)
+        # the reduced basis of the second ideal is [x^2, y^3 - x]: only its
+        # last element mixes degrees
+        for gens in ([x**2 - y], [x**2, y**3 - x]):
+            I = Ideal(gens)
+            with pytest.raises(ValueError, match="homogeneous"):
+                nf_monomial_table(I, 3)
+            with pytest.raises(ValueError, match="homogeneous"):
+                graded_basis(I, 3)
 
 
 def _homogeneous(rng, nvars, d, terms=3):

@@ -146,6 +146,23 @@ class TestSubstitution:
         assert sub(f) == expected
         assert sub(f) == expected  # again, from the warm memo
 
+    @given(st.data())
+    def test_one_per_row_matches_naive_reference(self, data):
+        # distinct columns permute monomials; repeated columns are singular
+        # and take the dense path
+        rows = data.draw(substitution_matrices("one per row"))
+        f = data.draw(polynomials(2 * len(rows), max_deg=3, max_terms=6))
+        sub = LinearSubstitution(rows)
+        cols = [next(j for j, c in enumerate(row) if c) for row in rows]
+        assert sub.is_monomial == (len(set(cols)) == len(cols))
+        assert sub(f) == naive_substitute(block_diag(rows, rows), f)
+
+    def test_colliding_images_cancel(self):
+        # x1 -> x1 and x2 -> 2*x1, so 2*x1 - x2 -> 0
+        sub = LinearSubstitution([[1, 0], [2, 0]])
+        assert not sub.is_monomial
+        assert sub(2 * x1 - x2) == Polynomial.zero(4)
+
     def test_dense_zero_polynomial_and_zero_rows(self):
         rows = [[QQ(1, 2), QQ(1, 3), 0], [0, 0, 0], [QQ(1, 7), 0, 1]]
         sub = LinearSubstitution(rows)
@@ -274,11 +291,16 @@ def substitution_matrices(shape: str, max_size: int = 4):
     """Square rational matrices with denominators from 1, 2, 3 and 7.
 
     "full" draws every entry, "sparse" zeroes about half of the entries,
-    "zero rows" zeroes a drawn set of whole rows.
+    "zero rows" zeroes a drawn set of whole rows, "one per row" keeps one
+    nonzero entry in each row, in a column drawn freely, so that both
+    permutations and repeated columns appear.
     """
     entry = st.builds(QQ, st.integers(-4, 4), st.sampled_from(DENOMINATORS))
 
-    def build(n, values, mask):
+    def build(n, values, mask, cols):
+        if shape == "one per row":
+            return [[(values[i * n + j] or QQ(1)) if j == cols[i] else QQ(0)
+                     for j in range(n)] for i in range(n)]
         rows = [list(values[i * n:(i + 1) * n]) for i in range(n)]
         for i in range(n):
             for j in range(n):
@@ -291,7 +313,8 @@ def substitution_matrices(shape: str, max_size: int = 4):
     return st.integers(1, max_size).flatmap(lambda n: st.builds(
         build, st.just(n),
         st.lists(entry, min_size=n * n, max_size=n * n),
-        st.lists(st.booleans(), min_size=n * n, max_size=n * n)))
+        st.lists(st.booleans(), min_size=n * n, max_size=n * n),
+        st.lists(st.integers(0, n - 1), min_size=n, max_size=n)))
 
 
 def naive_substitute(rows, f: Polynomial) -> Polynomial:
